@@ -57,7 +57,7 @@ let beta_arg =
 let faults_arg =
   let doc =
     "Arm fault-injection points: a comma-separated spec of $(i,point), \
-     $(i,point\\@N) (N-th hit only) or $(i,point%P:S) (P percent, seeded \
+     $(i,point@N) (N-th hit only) or $(i,point%P:S) (P percent, seeded \
      with S). See `pipesyn faults' for the registered points. Also read \
      from $(b,PIPESYN_FAULTS)."
   in
@@ -84,7 +84,7 @@ let domains_arg =
 
 let stall_window_arg =
   let doc =
-    "Stall-watchdog window in seconds: a B\\&B worker that makes no \
+    "Stall-watchdog window in seconds: a B&B worker that makes no \
      progress for a full window is first nudged (cold refactorization), \
      then its node is cancelled and requeued for replay. Off by default; \
      results are unaffected either way (the recovery is recorded in the \
@@ -342,7 +342,7 @@ let run_cmd =
   let trace_arg =
     let doc =
       "Record a structured execution trace (flow phases, cascade \
-       attempts, per-node B\\&B events, incumbent updates, simplex \
+       attempts, per-node B&B events, incumbent updates, simplex \
        refactorizations, per-stage covering) and write it to $(docv) as \
        Chrome trace_event JSON — load it in Perfetto or \
        chrome://tracing, or analyze it with `pipesyn trace-report'. \
@@ -957,13 +957,11 @@ let audit_cmd =
           | Ok r -> (
               match r.Mams.Flow.solve.Mams.Flow.audit_diags with
               | None ->
-                  (* the cascade fell back to a solver-free attempt, or
-                     cold-start mode suppressed the certificate — either
-                     way nothing was proved, which the gate treats as a
+                  (* the cascade fell back to a solver-free attempt:
+                     nothing was proved, which the gate treats as a
                      failure, not a silent pass *)
                   failed := true;
-                  Fmt.pr "== %s: no certificate to audit (degraded or \
-                          cold-start run) ==@."
+                  Fmt.pr "== %s: no certificate to audit (degraded run) ==@."
                     e.name;
                   (e.name, [])
               | Some diags ->

@@ -19,12 +19,12 @@ type ctx = {
          solver actually used *)
   cert : Lp.Cert.t;
   mutable m : int;  (** row count, including folded-in cut rows *)
-  qcache : (float, Qd.t) Hashtbl.t;
+  qcache : (float, Lp.Qd.t) Hashtbl.t;
       (* model coefficients repeat massively (0, ±1, shared bounds); caching
          the float→Qd conversion keeps the audit linear in nnz, not in
          nnz × limb work *)
   by_id : (int, Lp.Cert.node) Hashtbl.t;
-  node_bounds : (int, Qd.t option) Hashtbl.t;
+  node_bounds : (int, Lp.Qd.t option) Hashtbl.t;
       (* exact dual bound per Lp_optimal node, filled by the claim checks
          and reused by the pruning replay; [None] = -infinity *)
   mutable diags : Diag.t list;  (* newest first *)
@@ -52,11 +52,11 @@ let q ctx f =
   match Hashtbl.find_opt ctx.qcache f with
   | Some v -> v
   | None ->
-      let v = Qd.of_float f in
+      let v = Lp.Qd.of_float f in
       Hashtbl.add ctx.qcache f v;
       v
 
-let qstr x = Printf.sprintf "%.9g" (Qd.to_float x)
+let qstr x = Printf.sprintf "%.9g" (Lp.Qd.to_float x)
 
 (* ------------------------------------------------------------------ *)
 (* Exact dual bounds (Neumaier–Shcherbina)                             *)
@@ -81,17 +81,17 @@ let reduced_costs ctx ~use_obj u =
   let raw = ctx.raw in
   let r =
     Array.init raw.Lp.Model.n (fun j ->
-        if use_obj then q ctx raw.Lp.Model.obj.(j) else Qd.zero)
+        if use_obj then q ctx raw.Lp.Model.obj.(j) else Lp.Qd.zero)
   in
-  let t = ref Qd.zero in
+  let t = ref Lp.Qd.zero in
   Array.iteri
     (fun i row ->
       let ui = clamp raw.Lp.Model.senses.(i) u.(i) in
       if ui <> 0.0 then begin
         let uq = q ctx ui in
-        t := Qd.sub !t (Qd.mul uq (q ctx raw.Lp.Model.rhs.(i)));
+        t := Lp.Qd.sub !t (Lp.Qd.mul uq (q ctx raw.Lp.Model.rhs.(i)));
         Array.iter
-          (fun (j, a) -> r.(j) <- Qd.add r.(j) (Qd.mul uq (q ctx a)))
+          (fun (j, a) -> r.(j) <- Lp.Qd.add r.(j) (Lp.Qd.mul uq (q ctx a)))
           row
       end)
     raw.Lp.Model.rows;
@@ -101,16 +101,16 @@ let reduced_costs ctx ~use_obj u =
    reduced cost against an infinite upper bound, or positive against an
    infinite lower bound). *)
 let box_min ctx r lb ub =
-  let acc = ref Qd.zero and finite = ref true in
+  let acc = ref Lp.Qd.zero and finite = ref true in
   for j = 0 to ctx.raw.Lp.Model.n - 1 do
-    let s = Qd.sign r.(j) in
+    let s = Lp.Qd.sign r.(j) in
     if s > 0 then
       if Float.is_finite lb.(j) then
-        acc := Qd.add !acc (Qd.mul r.(j) (q ctx lb.(j)))
+        acc := Lp.Qd.add !acc (Lp.Qd.mul r.(j) (q ctx lb.(j)))
       else finite := false
     else if s < 0 then
       if Float.is_finite ub.(j) then
-        acc := Qd.add !acc (Qd.mul r.(j) (q ctx ub.(j)))
+        acc := Lp.Qd.add !acc (Lp.Qd.mul r.(j) (q ctx ub.(j)))
       else finite := false
   done;
   if !finite then Some !acc else None
@@ -121,7 +121,7 @@ let dual_bound ctx ~use_obj u lb ub =
   let r, t = reduced_costs ctx ~use_obj u in
   match box_min ctx r lb ub with
   | None -> None
-  | Some bm -> Some (Qd.add t bm)
+  | Some bm -> Some (Lp.Qd.add t bm)
 
 (* ------------------------------------------------------------------ *)
 (* Tree bookkeeping                                                    *)
@@ -202,21 +202,21 @@ let check_incumbent ctx =
             let xq = q ctx x.(j) in
             if
               Float.is_finite raw.Lp.Model.lb.(j)
-              && Qd.lt xq (Qd.sub (q ctx raw.Lp.Model.lb.(j)) epsq)
+              && Lp.Qd.lt xq (Lp.Qd.sub (q ctx raw.Lp.Model.lb.(j)) epsq)
             then
               errorf ctx ~code:"CERT102" ~loc:(Diag.Column j)
                 "incumbent %.9g below lower bound %.9g" x.(j)
                 raw.Lp.Model.lb.(j);
             if
               Float.is_finite raw.Lp.Model.ub.(j)
-              && Qd.lt (Qd.add (q ctx raw.Lp.Model.ub.(j)) epsq) xq
+              && Lp.Qd.lt (Lp.Qd.add (q ctx raw.Lp.Model.ub.(j)) epsq) xq
             then
               errorf ctx ~code:"CERT102" ~loc:(Diag.Column j)
                 "incumbent %.9g above upper bound %.9g" x.(j)
                 raw.Lp.Model.ub.(j);
             (* integrality is exact — the solver snaps accepted incumbents,
                so zero tolerance is the honest check *)
-            if raw.Lp.Model.integer.(j) && not (Qd.is_integer xq) then
+            if raw.Lp.Model.integer.(j) && not (Lp.Qd.is_integer xq) then
               errorf ctx ~code:"CERT102" ~loc:(Diag.Column j)
                 "integer variable holds non-integral value %.17g" x.(j)
           end
@@ -224,17 +224,18 @@ let check_incumbent ctx =
         Array.iteri
           (fun i row ->
             let lhs =
-              Qd.sum (Array.length row) (fun k ->
+              Lp.Qd.sum (Array.length row) (fun k ->
                   let jj, a = row.(k) in
-                  Qd.mul (q ctx a) (q ctx x.(jj)))
+                  Lp.Qd.mul (q ctx a) (q ctx x.(jj)))
             in
             let rhs = q ctx raw.Lp.Model.rhs.(i) in
             let bad =
               match raw.Lp.Model.senses.(i) with
-              | Lp.Model.Le -> Qd.lt (Qd.add rhs epsq) lhs
-              | Lp.Model.Ge -> Qd.lt lhs (Qd.sub rhs epsq)
+              | Lp.Model.Le -> Lp.Qd.lt (Lp.Qd.add rhs epsq) lhs
+              | Lp.Model.Ge -> Lp.Qd.lt lhs (Lp.Qd.sub rhs epsq)
               | Lp.Model.Eq ->
-                  Qd.lt (Qd.add rhs epsq) lhs || Qd.lt lhs (Qd.sub rhs epsq)
+                  Lp.Qd.lt (Lp.Qd.add rhs epsq) lhs
+                  || Lp.Qd.lt lhs (Lp.Qd.sub rhs epsq)
             in
             if bad then
               errorf ctx ~code:"CERT102" ~loc:(Diag.Row i)
@@ -244,16 +245,16 @@ let check_incumbent ctx =
         (* recorded objective must be the incumbent's exact objective *)
         if Float.is_finite cert.Lp.Cert.objective then begin
           let exact =
-            Qd.sum raw.Lp.Model.n (fun j ->
-                Qd.mul (q ctx raw.Lp.Model.obj.(j)) (q ctx x.(j)))
+            Lp.Qd.sum raw.Lp.Model.n (fun j ->
+                Lp.Qd.mul (q ctx raw.Lp.Model.obj.(j)) (q ctx x.(j)))
           in
           let claimed = q ctx cert.Lp.Cert.objective in
           let tol =
             q ctx (lp_rel *. Float.max 1.0 (Float.abs cert.Lp.Cert.objective))
           in
           if
-            Qd.lt (Qd.add claimed tol) exact
-            || Qd.lt exact (Qd.sub claimed tol)
+            Lp.Qd.lt (Lp.Qd.add claimed tol) exact
+            || Lp.Qd.lt exact (Lp.Qd.sub claimed tol)
           then
             errorf ctx ~code:"CERT107" ~loc:Diag.Global
               ~witness:[ qstr exact ]
@@ -277,10 +278,10 @@ let check_incumbent_log ctx =
   | Some _ when not (Float.is_finite cert.Lp.Cert.objective) -> ()
   | Some _ -> (
       let zq = q ctx cert.Lp.Cert.objective in
-      let floor_ = Qd.sub zq (q ctx inc_slack) in
+      let floor_ = Lp.Qd.sub zq (q ctx inc_slack) in
       List.iter
         (fun (id, v) ->
-          if (not (Float.is_finite v)) || Qd.lt (q ctx v) floor_ then
+          if (not (Float.is_finite v)) || Lp.Qd.lt (q ctx v) floor_ then
             errorf ctx ~code:"CERT107" ~loc:(Diag.Node id)
               "accepted incumbent %.9g is better than the final objective \
                %.9g — stale final incumbent"
@@ -294,8 +295,8 @@ let check_incumbent_log ctx =
           if
             Float.is_finite last
             && not
-                 (Qd.leq
-                    (Qd.sub (q ctx last) zq)
+                 (Lp.Qd.leq
+                    (Lp.Qd.sub (q ctx last) zq)
                     (q ctx inc_slack))
           then
             errorf ctx ~code:"CERT107" ~loc:Diag.Global
@@ -320,7 +321,7 @@ let check_branch_edit ctx (n : Lp.Cert.node) =
       else if not ctx.raw.Lp.Model.integer.(j) then
         errorf ctx ~code:"CERT106" ~loc:(Diag.Node n.Lp.Cert.id)
           "branch on continuous variable %d" j
-      else if (not (Float.is_finite v)) || not (Qd.is_integer (q ctx v)) then
+      else if (not (Float.is_finite v)) || not (Lp.Qd.is_integer (q ctx v)) then
         errorf ctx ~code:"CERT106" ~loc:(Diag.Node n.Lp.Cert.id)
           "branch bound %.17g on variable %d is not integral" v j;
       match Hashtbl.find_opt ctx.by_id n.Lp.Cert.parent with
@@ -368,8 +369,10 @@ let check_branch_arith ctx (n : Lp.Cert.node) =
       let bad =
         (not (Float.is_finite down_ub))
         || (not (Float.is_finite up_lb))
-        || (not (Qd.is_integer (q ctx down_ub)))
-        || not (Qd.equal (q ctx up_lb) (Qd.add (q ctx down_ub) (Qd.of_int 1)))
+        || (not (Lp.Qd.is_integer (q ctx down_ub)))
+        || not
+             (Lp.Qd.equal (q ctx up_lb)
+                (Lp.Qd.add (q ctx down_ub) (Lp.Qd.of_int 1)))
       in
       if bad then
         errorf ctx ~code:"CERT106" ~loc:(Diag.Node n.Lp.Cert.id)
@@ -402,7 +405,7 @@ let check_claim ctx (n : Lp.Cert.node) box =
                 errorf ctx ~code:"CERT103" ~loc:(Diag.Node nid)
                   "dual vector certifies no finite bound (claimed %.9g)" obj
             | Some b ->
-                if Qd.lt b (Qd.sub (q ctx obj) tol) then
+                if Lp.Qd.lt b (Lp.Qd.sub (q ctx obj) tol) then
                   errorf ctx ~code:"CERT103" ~loc:(Diag.Node nid)
                     ~witness:[ qstr b; Printf.sprintf "%.9g" obj ]
                     "exact dual bound %s is below the claimed LP objective \
@@ -425,7 +428,7 @@ let check_claim ctx (n : Lp.Cert.node) box =
                   Float.is_finite lb.(j)
                   && (ub.(j) = Float.neg_infinity
                      || (Float.is_finite ub.(j)
-                        && Qd.lt (q ctx ub.(j)) (q ctx lb.(j))))
+                        && Lp.Qd.lt (q ctx ub.(j)) (q ctx lb.(j))))
                 in
                 if not crossed then
                   errorf ctx ~code:"CERT104" ~loc:(Diag.Node nid)
@@ -442,7 +445,7 @@ let check_claim ctx (n : Lp.Cert.node) box =
             | None -> ()
             | Some (lb, ub) -> (
                 match dual_bound ctx ~use_obj:false u lb ub with
-                | Some b when Qd.sign b > 0 -> ()
+                | Some b when Lp.Qd.sign b > 0 -> ()
                 | Some b ->
                     errorf ctx ~code:"CERT104" ~loc:(Diag.Node nid)
                       ~witness:[ qstr b ]
@@ -464,9 +467,9 @@ let check_incumbent_at ctx (n : Lp.Cert.node) =
     | Some _ ->
         if
           Float.is_finite cert.Lp.Cert.objective
-          && Qd.lt
+          && Lp.Qd.lt
                (q ctx n.Lp.Cert.incumbent_at)
-               (Qd.sub (q ctx cert.Lp.Cert.objective) (q ctx inc_slack))
+               (Lp.Qd.sub (q ctx cert.Lp.Cert.objective) (q ctx inc_slack))
         then
           errorf ctx ~code:"CERT107" ~loc:(Diag.Node n.Lp.Cert.id)
             "node observed incumbent %.9g better than the final objective \
@@ -509,7 +512,7 @@ let fathom_floor ctx ~ref_obj =
     (ctx.cert.Lp.Cert.gap_tol *. Float.max 1.0 (Float.abs z))
     +. (lp_rel *. Float.max 1.0 (Float.abs ref_obj))
   in
-  Qd.sub (q ctx z) (q ctx slack)
+  Lp.Qd.sub (q ctx z) (q ctx slack)
 
 let check_completeness_optimal ctx =
   let cert = ctx.cert in
@@ -531,8 +534,8 @@ let check_completeness_optimal ctx =
             | Lp.Cert.Lp_optimal { obj; _ } ->
                 if
                   Float.is_finite obj
-                  && Qd.lt (q ctx obj)
-                       (Qd.sub
+                  && Lp.Qd.lt (q ctx obj)
+                       (Lp.Qd.sub
                           (q ctx cert.Lp.Cert.objective)
                           (q ctx inc_slack))
                 then
@@ -549,7 +552,7 @@ let check_completeness_optimal ctx =
             | Lp.Cert.Lp_optimal { obj; _ } -> (
                 match Hashtbl.find_opt ctx.node_bounds nid with
                 | Some (Some b) ->
-                    if Qd.lt b (fathom_floor ctx ~ref_obj:obj) then
+                    if Lp.Qd.lt b (fathom_floor ctx ~ref_obj:obj) then
                       errorf ctx ~code:"CERT105" ~loc:(Diag.Node nid)
                         ~witness:[ qstr b ]
                         "bound-fathomed node's exact dual bound %s is below \
@@ -576,7 +579,7 @@ let check_completeness_optimal ctx =
                     errorf ctx ~code:"CERT105" ~loc:(Diag.Node nid)
                       "dominated node's ancestor bound is not finite"
                 | Some (Some b) ->
-                    if Qd.lt b (fathom_floor ctx ~ref_obj:n.Lp.Cert.bound)
+                    if Lp.Qd.lt b (fathom_floor ctx ~ref_obj:n.Lp.Cert.bound)
                     then
                       errorf ctx ~code:"CERT105" ~loc:(Diag.Node nid)
                         ~witness:[ qstr b ]
@@ -607,7 +610,7 @@ let check_completeness_optimal ctx =
                                  bound"
                                 cid
                           | Some bb ->
-                              if Qd.lt bb (fathom_floor ctx ~ref_obj:obj)
+                              if Lp.Qd.lt bb (fathom_floor ctx ~ref_obj:obj)
                               then
                                 errorf ctx ~code:"CERT105"
                                   ~loc:(Diag.Node nid) ~witness:[ qstr bb ]
@@ -663,7 +666,7 @@ let check_presolve ctx =
   let raw = ctx.raw in
   let n = raw.Lp.Model.n in
   let lb = Array.copy raw.Lp.Model.lb and ub = Array.copy raw.Lp.Model.ub in
-  let qone = Qd.of_int 1 in
+  let qone = Lp.Qd.of_int 1 in
   List.iteri
     (fun idx (e : Lp.Cert.tighten) ->
       let j = e.Lp.Cert.t_var in
@@ -678,16 +681,16 @@ let check_presolve ctx =
           else if e.Lp.Cert.t_row = -1 then
             (* integrality rounding of the then-current bound *)
             raw.Lp.Model.integer.(j)
-            && Qd.is_integer (q ctx v)
+            && Lp.Qd.is_integer (q ctx v)
             &&
             if hi then
               Float.is_finite ub.(j)
-              && Qd.leq (q ctx v) (q ctx ub.(j))
-              && Qd.lt (Qd.sub (q ctx ub.(j)) qone) (q ctx v)
+              && Lp.Qd.leq (q ctx v) (q ctx ub.(j))
+              && Lp.Qd.lt (Lp.Qd.sub (q ctx ub.(j)) qone) (q ctx v)
             else
               Float.is_finite lb.(j)
-              && Qd.geq (q ctx v) (q ctx lb.(j))
-              && Qd.lt (q ctx v) (Qd.add (q ctx lb.(j)) qone)
+              && Lp.Qd.geq (q ctx v) (q ctx lb.(j))
+              && Lp.Qd.lt (q ctx v) (Lp.Qd.add (q ctx lb.(j)) qone)
           else if
             e.Lp.Cert.t_row < 0
             || e.Lp.Cert.t_row >= Array.length raw.Lp.Model.rows
@@ -723,16 +726,16 @@ let check_presolve ctx =
                                let ck = dir *. ak in
                                if ck > 0.0 then
                                  if Float.is_finite lb.(k) then
-                                   Qd.add acc
-                                     (Qd.mul (q ctx ck) (q ctx lb.(k)))
+                                   Lp.Qd.add acc
+                                     (Lp.Qd.mul (q ctx ck) (q ctx lb.(k)))
                                  else raise Exit
                                else if ck < 0.0 then
                                  if Float.is_finite ub.(k) then
-                                   Qd.add acc
-                                     (Qd.mul (q ctx ck) (q ctx ub.(k)))
+                                   Lp.Qd.add acc
+                                     (Lp.Qd.mul (q ctx ck) (q ctx ub.(k)))
                                  else raise Exit
                                else acc)
-                           Qd.zero row)
+                           Lp.Qd.zero row)
                     with Exit -> None
                   in
                   match ma with
@@ -741,17 +744,17 @@ let check_presolve ctx =
                       let cjq = q ctx cj in
                       let d = q ctx (dir *. raw.Lp.Model.rhs.(i)) in
                       let vq = q ctx v in
-                      if raw.Lp.Model.integer.(j) && Qd.is_integer vq then
+                      if raw.Lp.Model.integer.(j) && Lp.Qd.is_integer vq then
                         (* the first integer value past the new bound must
                            already violate the row *)
                         let shifted =
-                          if hi then Qd.add vq qone else Qd.sub vq qone
+                          if hi then Lp.Qd.add vq qone else Lp.Qd.sub vq qone
                         in
-                        Qd.lt d (Qd.add (Qd.mul cjq shifted) ma)
+                        Lp.Qd.lt d (Lp.Qd.add (Lp.Qd.mul cjq shifted) ma)
                       else
                         (* continuous: every point strictly past the new
                            bound violates the row *)
-                        Qd.geq (Qd.add (Qd.mul cjq vq) ma) d
+                        Lp.Qd.geq (Lp.Qd.add (Lp.Qd.mul cjq vq) ma) d
                 end
           end
         in
@@ -779,7 +782,7 @@ let check_presolve ctx =
    over the extended system) keep their row indexing — and later CG
    derivations may cite earlier cut rows. *)
 let check_cuts ctx (bp_lb, bp_ub) =
-  let qone = Qd.of_int 1 in
+  let qone = Lp.Qd.of_int 1 in
   let m0 = ctx.m in
   List.iteri
     (fun k (c : Lp.Cert.cut) ->
@@ -825,17 +828,18 @@ let check_cuts ctx (bp_lb, bp_ub) =
                lam;
              if !ok then begin
                (* exact aggregation of the cited rows *)
-               let abar = Array.make n Qd.zero in
-               let t = ref Qd.zero in
+               let abar = Array.make n Lp.Qd.zero in
+               let t = ref Lp.Qd.zero in
                Array.iter
                  (fun (i, l) ->
                    if l <> 0.0 then begin
                      let lq = q ctx l in
-                     t := Qd.add !t (Qd.mul lq (q ctx raw.Lp.Model.rhs.(i)));
+                     t :=
+                       Lp.Qd.add !t (Lp.Qd.mul lq (q ctx raw.Lp.Model.rhs.(i)));
                      Array.iter
                        (fun (jj, a) ->
                          abar.(jj) <-
-                           Qd.add abar.(jj) (Qd.mul lq (q ctx a)))
+                           Lp.Qd.add abar.(jj) (Lp.Qd.mul lq (q ctx a)))
                        raw.Lp.Model.rows.(i)
                    end)
                  lam;
@@ -849,33 +853,33 @@ let check_cuts ctx (bp_lb, bp_ub) =
                   maxes out. The shifted rhs t' = t + the sum of those
                   charges then upper-bounds sum_j c_j·x_j everywhere in
                   the box, and the integer-rounding step floors t'. *)
-               let delta = ref Qd.zero in
+               let delta = ref Lp.Qd.zero in
                let support_int = ref true and coeffs_int = ref true in
                for j = 0 to n - 1 do
                  let cj = cvec.(j) in
                  let cjq = q ctx cj in
-                 if not (Qd.equal abar.(j) cjq) then begin
-                   let diff = Qd.sub cjq abar.(j) in
+                 if not (Lp.Qd.equal abar.(j) cjq) then begin
+                   let diff = Lp.Qd.sub cjq abar.(j) in
                    let bound =
-                     if Qd.sign diff > 0 then bp_ub.(j) else bp_lb.(j)
+                     if Lp.Qd.sign diff > 0 then bp_ub.(j) else bp_lb.(j)
                    in
                    if not (Float.is_finite bound) then
                      fail
                        "coefficient change on variable %d (exact %s, cut \
                         %.9g) is charged to an infinite bound"
                        j (qstr abar.(j)) cj
-                   else delta := Qd.add !delta (Qd.mul diff (q ctx bound))
+                   else delta := Lp.Qd.add !delta (Lp.Qd.mul diff (q ctx bound))
                  end;
                  if cj <> 0.0 then begin
                    if not raw.Lp.Model.integer.(j) then support_int := false;
-                   if not (Qd.is_integer cjq) then coeffs_int := false
+                   if not (Lp.Qd.is_integer cjq) then coeffs_int := false
                  end
                done;
                if !ok then begin
                  let d = c.Lp.Cert.cut_rhs in
                  let dq = q ctx d in
-                 let t' = Qd.add !t !delta in
-                 if Qd.geq dq t' then () (* plain shifted aggregation *)
+                 let t' = Lp.Qd.add !t !delta in
+                 if Lp.Qd.geq dq t' then () (* plain shifted aggregation *)
                  else if not !support_int then
                    fail
                      "rounded rhs %.9g < exact shifted rhs %s with \
@@ -884,9 +888,9 @@ let check_cuts ctx (bp_lb, bp_ub) =
                  else if not !coeffs_int then
                    fail
                      "rounded rhs with non-integral cut coefficients"
-                 else if not (Qd.is_integer dq) then
+                 else if not (Lp.Qd.is_integer dq) then
                    fail "rounded rhs %.9g is not integral" d
-                 else if not (Qd.lt t' (Qd.add dq qone)) then
+                 else if not (Lp.Qd.lt t' (Lp.Qd.add dq qone)) then
                    fail
                      "rhs %.9g is below the floor of the exact shifted \
                       rhs %s"
@@ -928,13 +932,13 @@ let check_cuts ctx (bp_lb, bp_ub) =
                if !ok then begin
                  (* members must over-cover the rhs exactly, and every
                     non-member term must be nonnegative over the box *)
-                 let sum = ref Qd.zero in
+                 let sum = ref Lp.Qd.zero in
                  let found = ref 0 in
                  Array.iter
                    (fun (jj, a) ->
                      if Hashtbl.mem mem jj then begin
                        incr found;
-                       sum := Qd.add !sum (q ctx a)
+                       sum := Lp.Qd.add !sum (q ctx a)
                      end
                      else if a < 0.0 then
                        fail "non-member term on variable %d is negative" jj
@@ -951,7 +955,7 @@ let check_cuts ctx (bp_lb, bp_ub) =
                    fail "members missing from the cited row";
                  if
                    !ok
-                   && not (Qd.lt (q ctx raw.Lp.Model.rhs.(c_row)) !sum)
+                   && not (Lp.Qd.lt (q ctx raw.Lp.Model.rhs.(c_row)) !sum)
                  then
                    fail
                      "members do not cover: exact sum %s <= rhs %.9g"
@@ -1042,23 +1046,23 @@ let check_fixes ctx (bp_lb, bp_ub) =
              restricted, so bounding over it is sound for every fix *)
           let contrib =
             Array.init raw.Lp.Model.n (fun j ->
-                let s = Qd.sign r.(j) in
+                let s = Lp.Qd.sign r.(j) in
                 if s > 0 then
                   if Float.is_finite bp_lb.(j) then
-                    Some (Qd.mul r.(j) (q ctx bp_lb.(j)))
+                    Some (Lp.Qd.mul r.(j) (q ctx bp_lb.(j)))
                   else None
                 else if s < 0 then
                   if Float.is_finite bp_ub.(j) then
-                    Some (Qd.mul r.(j) (q ctx bp_ub.(j)))
+                    Some (Lp.Qd.mul r.(j) (q ctx bp_ub.(j)))
                   else None
-                else Some Qd.zero)
+                else Some Lp.Qd.zero)
           in
           let finite = Array.for_all Option.is_some contrib in
           let total =
             if finite then
               Some
                 (Array.fold_left
-                   (fun acc c -> Qd.add acc (Option.get c))
+                   (fun acc c -> Lp.Qd.add acc (Option.get c))
                    t contrib)
             else None
           in
@@ -1074,20 +1078,20 @@ let check_fixes ctx (bp_lb, bp_ub) =
                 () (* excluded region empty — trivially sound *)
               else
                 let excl =
-                  let sgn = Qd.sign r.(j) in
+                  let sgn = Lp.Qd.sign r.(j) in
                   if sgn > 0 then
-                    if Float.is_finite lo then Some (Qd.mul r.(j) (q ctx lo))
+                    if Float.is_finite lo then Some (Lp.Qd.mul r.(j) (q ctx lo))
                     else None
                   else if sgn < 0 then
-                    if Float.is_finite hi then Some (Qd.mul r.(j) (q ctx hi))
+                    if Float.is_finite hi then Some (Lp.Qd.mul r.(j) (q ctx hi))
                     else None
-                  else Some Qd.zero
+                  else Some Lp.Qd.zero
                 in
                 match (total, contrib.(j), excl) with
                 | Some tot, Some cj, Some ej ->
-                    let beta = Qd.add (Qd.sub tot cj) ej in
+                    let beta = Lp.Qd.add (Lp.Qd.sub tot cj) ej in
                     if
-                      Qd.lt beta
+                      Lp.Qd.lt beta
                         (fathom_floor ctx ~ref_obj:cert.Lp.Cert.root_obj)
                     then
                       errorf ctx ~code:"CERT108" ~loc:(Diag.Column j)
@@ -1211,7 +1215,6 @@ let check_result model (r : Lp.Milp.result) =
   | None ->
       [
         Diag.make Diag.Error ~code:"CERT101" ~pass:pass_name ~loc:Diag.Global
-          "solve carries no certificate (certificates off, or cold-start \
-           mode)";
+          "solve carries no certificate (certificates off)";
       ]
   | Some c -> check (Lp.Model.to_raw model) c

@@ -4,7 +4,7 @@
     Input: the frozen model ({!Lp.Model.raw}) and the certificate a
     [Milp.solve ~certificates:true] run emitted ({!Lp.Cert.t}). Every
     numeric claim is re-derived in exact dyadic-rational arithmetic
-    ({!Qd}) — no float comparison anywhere in the checker — and judged
+    ({!Lp.Qd}) — no float comparison anywhere in the checker — and judged
     against the solver's {e published} contract: feasibility within
     [1e-6], LP objectives within a relative [1e-6], the relative
     optimality gap in the certificate, incumbent acceptance within

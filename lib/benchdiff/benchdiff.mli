@@ -46,7 +46,9 @@ type delta = {
 }
 
 type report = {
-  r_schema : int;  (** common schema version of the two files *)
+  r_schema : int;
+      (** metrics schema of both files — always
+          {!Obs.Metrics.schema_version} *)
   r_rows : int;  (** (benchmark, method) keys present in both files *)
   r_deltas : delta list;  (** flagged deltas only (no Unchanged spam) *)
   r_missing : (string * string) list;
@@ -60,9 +62,10 @@ type report = {
 val diff :
   ?thresholds:thresholds -> Obs.Json.t -> Obs.Json.t -> (report, string) result
 (** [diff old_ new_] compares two parsed metrics files. [Error] on a
-    malformed file or a schema-version mismatch between the two
-    (regenerate the baseline rather than guessing at field semantics);
-    per-row findings land in the report. *)
+    malformed file or one whose [schema_version] is not
+    {!Obs.Metrics.schema_version} (regenerate the baseline rather than
+    guessing at field semantics); per-row findings land in the
+    report. *)
 
 val regressed : report -> bool
 (** Whether the report carries at least one regression (flagged delta

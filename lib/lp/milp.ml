@@ -67,14 +67,6 @@ let status_label = function
   | Simplex.Iteration_limit -> "iter_limit"
   | Simplex.Time_limit -> "time_limit"
 
-(* PIPESYN_COLD_START (any non-empty value) forces the pre-warm-start
-   behaviour — cold per-node LPs, most-fractional branching, no bound
-   fixing — for A/B comparison. Read per solve so tests can toggle it. *)
-let cold_start_forced () =
-  match Sys.getenv_opt "PIPESYN_COLD_START" with
-  | None | Some "" -> false
-  | Some _ -> true
-
 (* ------------------------------------------------------------------ *)
 (* Node bounds: copy-on-branch chains                                  *)
 (* ------------------------------------------------------------------ *)
@@ -175,26 +167,6 @@ let branch_of (node : node) =
 (* Branching                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let most_fractional raw ~int_tol ?priority x =
-  let best = ref (-1) and best_frac = ref int_tol and best_prio = ref min_int in
-  let prio j = match priority with None -> 0 | Some p -> p.(j) in
-  Array.iteri
-    (fun j isint ->
-      if isint then begin
-        let v = x.(j) in
-        let frac = Float.abs (v -. Float.round v) in
-        if frac > int_tol then begin
-          let p = prio j in
-          if p > !best_prio || (p = !best_prio && frac > !best_frac) then begin
-            best := j;
-            best_frac := frac;
-            best_prio := p
-          end
-        end
-      end)
-    raw.Model.integer;
-  !best
-
 (* Per-variable pseudocosts: observed objective degradation per unit of
    fractional distance, separately for the down and up branch. *)
 type pseudocost = {
@@ -294,8 +266,8 @@ let snap raw ~int_tol x =
 (* ------------------------------------------------------------------ *)
 
 (* PIPESYN_DOMAINS selects how many OCaml 5 domains explore the tree
-   (default 1 = the sequential engine). Read per solve, like
-   PIPESYN_COLD_START, so drivers and tests can toggle it. *)
+   (default 1: a lone worker, which explores depth-first). Read per
+   solve so drivers and tests can toggle it. *)
 let domains_from_env () =
   match Sys.getenv_opt "PIPESYN_DOMAINS" with
   | None | Some "" -> 1
@@ -403,7 +375,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
      warm-start seeding is skipped so the solve reports Unknown, the
      hardest failure the cascade must absorb. *)
   let injected_timeout = Resilience.Fault.fires "milp.timeout" in
-  let cold_mode = cold_start_forced () in
   let raw_orig = Model.to_raw model in
   (* A checkpoint is pinned to the exact model it was taken from:
      replaying a frontier into a different polytope would silently
@@ -416,12 +387,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     | None, None -> ""
     | _ -> Checkpoint.fingerprint raw_orig
   in
-  let cuts_on =
-    (match cuts with Some b -> b | None -> cuts_from_env ()) && not cold_mode
-  in
-  let presolve_on =
-    (match presolve with Some b -> b | None -> true) && not cold_mode
-  in
+  let cuts_on = match cuts with Some b -> b | None -> cuts_from_env () in
+  let presolve_on = Option.value presolve ~default:true in
   (* Root presolve: certified bound tightening on the model box. On
      resume the checkpoint's root box already includes the original
      run's tightenings (plus fixings), so only the event log is
@@ -475,12 +442,10 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   | Some ck when ck.Checkpoint.fingerprint <> model_fp ->
       invalid_arg "Milp.solve: checkpoint fingerprint does not match the model"
   | _ -> ());
-  (* Certificates need the warm-start solver state (duals, Farkas rays
-     live in the reusable tableau), so forced cold-start runs emit none.
-     A resumed solve can only be as strong as its checkpoint: if the
+  (* A resumed solve can only be as strong as its checkpoint: if the
      original run kept no certificates there is no prefix to extend. *)
   let certs_on =
-    certificates && (not cold_mode)
+    certificates
     && match resume with Some ck -> ck.Checkpoint.certs_on | None -> true
   in
   (* Certificate node ids: allocated at node creation, independent of the
@@ -551,41 +516,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           ("depth", Obs.Json.Int depth);
           ("seeded", Obs.Json.Bool seeded);
         ]
-  in
-  (* Deterministic incumbent acceptance (any domain): strictly better
-     objectives always replace; objectives tied within tolerance fall
-     back to the lexicographic solution-vector order, so the surviving
-     incumbent does not depend on which domain raced in first. *)
-  let try_improve ~wid ~node_id ~nid ~depth ~open_bound_now x obj =
-    Mutex.lock inc_m;
-    let cur = Atomic.get best_obj in
-    let accept =
-      obj < cur -. 1e-9
-      || obj <= cur +. 1e-9
-         &&
-         match !best_x with None -> true | Some bx -> lex_less x bx
-    in
-    if accept then begin
-      Atomic.set best_obj obj;
-      best_x := Some x;
-      if certs_on then inc_log := (nid, obj) :: !inc_log;
-      Obs.Counter.incr c_incumbents;
-      Obs.Series.add s_incumbents ~x:(elapsed ()) ~y:obj;
-      (* Dual bound over the remaining open nodes (this node itself is
-         integral, so its own value also bounds the search). *)
-      let gap_now =
-        let lo = open_bound_now obj in
-        if Float.is_finite lo then
-          Float.abs (obj -. lo) /. Float.max 1.0 (Float.abs obj)
-        else Float.nan
-      in
-      note_incumbent ~tid:(wid + 1) ~obj ~gap:gap_now ~node:node_id ~depth
-        ~seeded:false ();
-      Log.info (fun f ->
-          f "incumbent %.6g at node %d depth %d (domain %d)" obj node_id
-            depth wid)
-    end;
-    Mutex.unlock inc_m
   in
   (match incumbent with
   | _ when injected_timeout -> ()
@@ -707,7 +637,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let root_box_ub =
     ref (match resume with Some ck -> Array.copy ck.Checkpoint.root_ub | None -> [||])
   in
-  (* ---------------- supervision state (shared by both engines) ------- *)
+  (* ---------------- supervision state -------------------------------- *)
   (* [pool_m] guards the shared deque [q]/[qlen], every private stack in
      [wlocal], and the lease table [wlease]. A lease is the subtree a
      worker currently holds in its hands: set when a node is taken,
@@ -790,6 +720,57 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     in
     let locals = Array.fold_right (fun r acc -> !r @ acc) wlocal [] in
     leases @ locals @ !q
+  in
+  (* Minimum dual bound over the open nodes, leaving out worker [skip]'s
+     lease (the node it is processing). Under [pool_m]. *)
+  let open_bound_locked ?skip () =
+    let own = match skip with Some wid -> wlease.(wid) | None -> None in
+    List.fold_left
+      (fun lo (n : node) ->
+        match own with Some l when l == n -> lo | _ -> Float.min lo n.bound)
+      infinity (frontier_locked ())
+  in
+  (* Deterministic incumbent acceptance (any domain): strictly better
+     objectives always replace; objectives tied within tolerance fall
+     back to the lexicographic solution-vector order, so the surviving
+     incumbent does not depend on which domain raced in first. *)
+  let try_improve (w : wctx) ~node_id ~nid ~depth x obj =
+    (* [best_obj] only decreases, so a candidate that loses here would
+       lose under [inc_m] too. *)
+    if obj <= Atomic.get best_obj +. 1e-9 then begin
+      (* Dual bound for the incumbent note: the other open nodes (this
+         node is integral, so its own value also bounds the search). Read
+         before taking [inc_m]: the lock order is pool_m ≺ inc_m. *)
+      Mutex.lock pool_m;
+      let lo = Float.min obj (open_bound_locked ~skip:w.wid ()) in
+      Mutex.unlock pool_m;
+      Mutex.lock inc_m;
+      let cur = Atomic.get best_obj in
+      let accept =
+        obj < cur -. 1e-9
+        || obj <= cur +. 1e-9
+           &&
+           match !best_x with None -> true | Some bx -> lex_less x bx
+      in
+      if accept then begin
+        Atomic.set best_obj obj;
+        best_x := Some x;
+        if certs_on then inc_log := (nid, obj) :: !inc_log;
+        Obs.Counter.incr c_incumbents;
+        Obs.Series.add s_incumbents ~x:(elapsed ()) ~y:obj;
+        let gap_now =
+          if Float.is_finite lo then
+            Float.abs (obj -. lo) /. Float.max 1.0 (Float.abs obj)
+          else Float.nan
+        in
+        note_incumbent ~tid:(w.wid + 1) ~obj ~gap:gap_now ~node:node_id
+          ~depth ~seeded:false ();
+        Log.info (fun f ->
+            f "incumbent %.6g at node %d depth %d (domain %d)" obj node_id
+              depth w.wid)
+      end;
+      Mutex.unlock inc_m
+    end
   in
   let snapshot_locked () =
     let ws = Atomic.get all_wctxs in
@@ -935,28 +916,24 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     end;
     goto ~lb:w.wlb ~ub:w.wub ~from_:w.wcur node.bounds;
     w.wcur <- node.bounds;
-    if cold_mode then
-      Simplex.solve ~max_iters:max_lp_iters ~deadline:w.w_dl ~lb:w.wlb
-        ~ub:w.wub !raw_solve
-    else
-      match w.wstate with
-      | None ->
-          (* Cold builds read [!raw_solve], the cut-extended system:
-             workers that start after the root cut rounds (and resumed
-             solves) inherit every applied cut. *)
-          let r, st =
-            Simplex.solve_state ~max_iters:max_lp_iters ~deadline:w.w_dl
-              ~lb:w.wlb ~ub:w.wub !raw_solve
-          in
-          w.wstate <- Some st;
-          r
-      | Some st ->
-          let r =
-            Simplex.resolve ~max_iters:max_lp_iters ~deadline:w.w_dl
-              ~lb:w.wlb ~ub:w.wub st
-          in
-          if Simplex.last_resolve_warm st then w.w_warm <- w.w_warm + 1;
-          r
+    match w.wstate with
+    | None ->
+        (* Cold builds read [!raw_solve], the cut-extended system:
+           workers that start after the root cut rounds (and resumed
+           solves) inherit every applied cut. *)
+        let r, st =
+          Simplex.solve_state ~max_iters:max_lp_iters ~deadline:w.w_dl
+            ~lb:w.wlb ~ub:w.wub !raw_solve
+        in
+        w.wstate <- Some st;
+        r
+    | Some st ->
+        let r =
+          Simplex.resolve ~max_iters:max_lp_iters ~deadline:w.w_dl ~lb:w.wlb
+            ~ub:w.wub st
+        in
+        if Simplex.last_resolve_warm st then w.w_warm <- w.w_warm + 1;
+        r
   in
   (* Reduced-cost bound fixing at the root: with an incumbent of value
      [z*] and a root relaxation of value [z0], any solution moving an
@@ -992,17 +969,15 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         end
   in
   (* Solve one node on worker [w]; returns the scheduling outcome and
-     the node's certificate entry (engines append it inside their
+     the node's certificate entry (the pool appends it inside its
      completion critical section, so snapshots never see a half-recorded
-     node). [open_bound_now] supplies the dual bound over the currently
-     open nodes for the incumbent gap note (exact for the sequential
-     engine, conservative for the parallel one).
+     node).
 
      Fault sites: [milp.worker_kill] kills the worker at entry, before
      the node is counted — the supervisor replays its lease.
      [milp.stall] wedges the worker here with no progress, which is what
      the watchdog's escalation ladder must unstick. *)
-  let process (w : wctx) ~open_bound_now (node : node) :
+  let process (w : wctx) (node : node) :
       outcome * Cert.node option =
     if Resilience.Fault.fires "milp.worker_kill" then raise Worker_killed;
     if Resilience.Fault.fires "milp.stall" then
@@ -1021,8 +996,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     Obs.Counter.incr ~by:r.Simplex.iterations c_pivots;
     if Obs.Trace.enabled () then begin
       let warm =
-        (not cold_mode)
-        &&
         match w.wstate with
         | Some st -> Simplex.last_resolve_warm st
         | None -> false
@@ -1086,7 +1059,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
             pc_record w.wpc ~j:node.bvar ~dir_up:node.dir_up
               ~unit:(if node.dir_up then 1.0 -. node.bfrac else node.bfrac)
               ~degrade:(Float.max 0.0 (r.Simplex.objective -. node.bound));
-          if depth = 0 && (not cold_mode) && have_inc () then
+          if depth = 0 && have_inc () then
             fix_by_reduced_cost w r.Simplex.objective;
           if r.Simplex.objective >= Atomic.get best_obj -. 1e-9 && have_inc ()
           then begin
@@ -1095,12 +1068,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           end
           else begin
             let j =
-              if cold_mode then
-                most_fractional raw ~int_tol ?priority:branch_priority
-                  r.Simplex.x
-              else
-                pseudocost_branch raw ~int_tol ?priority:branch_priority w.wpc
-                  r.Simplex.x
+              pseudocost_branch raw ~int_tol ?priority:branch_priority w.wpc
+                r.Simplex.x
             in
             if j < 0 then begin
               (* integral: candidate incumbent *)
@@ -1109,8 +1078,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
                 Array.fold_left ( +. ) 0.0
                   (Array.mapi (fun j v -> raw.obj.(j) *. v) x)
               in
-              try_improve ~wid:w.wid ~node_id ~nid:node.nid ~depth
-                ~open_bound_now x obj;
+              try_improve w ~node_id ~nid:node.nid ~depth x obj;
               fathom := Cert.F_integral;
               Leaf
             end
@@ -1259,325 +1227,181 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         Some (Domain.spawn (fun () -> watchdog win))
     | _ -> None
   in
-  (* -------------------- sequential engine (domains = 1) ------------- *)
-  (* The private stack lives in [wlocal.(0)] and the lease table is kept
-     current so the watchdog and checkpointer see the same frontier
-     invariant as in the parallel engine. Recovery drains through the
-     shared deque [q]. *)
-  let run_sequential (init : node list) =
-    wlocal.(0) := init;
-    let open_bound_now obj =
-      let acc =
-        List.fold_left (fun acc (n : node) -> min acc n.bound) obj
-          !(wlocal.(0))
-      in
-      List.fold_left (fun acc (n : node) -> min acc n.bound) acc !q
-    in
-    let next_node () =
-      Mutex.lock pool_m;
-      let r =
-        match !(wlocal.(0)) with
-        | n :: rest ->
-            wlocal.(0) := rest;
-            Some n
-        | [] -> (
-            match !q with
-            | n :: rest ->
-                q := rest;
-                decr qlen;
-                Some n
-            | [] -> None)
-      in
-      (match r with Some n -> wlease.(0) <- Some n | None -> ());
-      Mutex.unlock pool_m;
-      (match r with
-      | Some _ -> Atomic.set w0.w_beat (Obs.Clock.wall ())
-      | None -> ());
-      r
-    in
-    let requeue_front node =
-      Mutex.lock pool_m;
-      wlocal.(0) := node :: !(wlocal.(0));
-      wlease.(0) <- None;
-      Mutex.unlock pool_m
-    in
-    let clear_lease () =
-      Mutex.lock pool_m;
-      wlease.(0) <- None;
-      Mutex.unlock pool_m
-    in
-    let append_cert c =
-      match c with Some c -> w0.wcerts <- c :: w0.wcerts | None -> ()
-    in
-    let continue_ = ref true in
-    while !continue_ do
-      match next_node () with
-      | None -> continue_ := false
-      | Some node ->
-          (if budget () then begin
-             (* keep the in-hand node open: the exit gap and a final
-                checkpoint both want its bound *)
-             requeue_front node;
-             budget_hit := true;
-             continue_ := false
-           end
-           else if dominated node then begin
-             append_cert (dominated_cert w0 node);
-             clear_lease ()
-           end
-           else
-             match process w0 ~open_bound_now node with
-             | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-             | exception e when recover w0 e -> ()
-             | exception e ->
-                 clear_lease ();
-                 raise e
-             | Leaf, c ->
-                 append_cert c;
-                 clear_lease ()
-             | Stop_unbounded, c ->
-                 append_cert c;
-                 stopped_unbounded := true;
-                 clear_lease ();
-                 continue_ := false
-             | Stop_budget, _ ->
-                 requeue_front node;
-                 budget_hit := true;
-                 continue_ := false
-             | Cancelled, _ ->
-                 (* watchdog unwedge: re-open the node and re-arm *)
-                 Mutex.lock pool_m;
-                 q := !q @ [ node ];
-                 incr qlen;
-                 wlease.(0) <- None;
-                 incr n_recoveries;
-                 Mutex.unlock pool_m;
-                 Resilience.Deadline.clear_cell w0.w_cell
-             | Children (near, far), c ->
-                 append_cert c;
-                 Mutex.lock pool_m;
-                 wlocal.(0) := near :: far :: !(wlocal.(0));
-                 wlease.(0) <- None;
-                 Mutex.unlock pool_m);
-          Mutex.lock pool_m;
-          write_checkpoint_locked ~force:false ();
-          Mutex.unlock pool_m;
-          Atomic.set w0.w_beat (Obs.Clock.wall ())
-    done
+  (* -------------------- the work-stealing pool ----------------------- *)
+  (* The one engine, at every domain count. Each domain dives
+     depth-first on a private stack; after every branch it keeps the
+     near child and, when there are other domains to feed, publishes the
+     far child to a bounded shared deque (oldest entries are the
+     shallowest, i.e. largest, subtrees). Idle domains steal from the old
+     end of the deque; when the deque overflows its bound, siblings stay
+     private. A lone worker publishes nothing, so its deque only ever
+     holds requeued nodes. Termination: [pending] counts
+     pushed-but-unfinished nodes; the decrement that reaches zero wakes
+     every sleeper. Every taken node is leased until its completion
+     section runs, so worker deaths replay exactly the in-flight subtrees
+     and snapshots are complete. *)
+  let pending = Atomic.make 0 in
+  let stop : [ `Budget | `Unbounded | `Exn of exn ] option Atomic.t =
+    Atomic.make None
   in
-  (* -------------------- parallel engine (domains > 1) ---------------- *)
-  (* Work distribution: each domain dives depth-first on a private stack;
-     after every branch it keeps the near child and publishes the far
-     child to a bounded shared deque (oldest entries are the shallowest,
-     i.e. largest, subtrees). Idle domains steal from the old end of the
-     deque; when the deque overflows its bound, siblings stay private.
-     Termination: [pending] counts pushed-but-unfinished nodes; the
-     decrement that reaches zero wakes every sleeper. Every taken node is
-     leased until its completion section runs, so worker deaths replay
-     exactly the in-flight subtrees and snapshots are complete. *)
-  let run_parallel (init : node list) =
-    (match init with
-    | [] -> ()
-    | first :: rest ->
-        wlocal.(0) := [ first ];
+  (* Under [pool_m]. *)
+  let request_stop_locked r =
+    if Atomic.compare_and_set stop None (Some r) then
+      Condition.broadcast pool_cv
+  in
+  (* Take from the deque, under [pool_m]; returns [(node, stolen)]. A
+     thief steals the oldest (shallowest) published node from the far
+     end — O(qcap) worst case, and qcap is small. A lone worker drains
+     its requeued nodes oldest first, as a plain depth-first search
+     would; that is not a steal. *)
+  let dequeue () =
+    match !q with
+    | [] -> None
+    | n :: rest when domains = 1 ->
         q := rest;
-        qlen := List.length rest);
-    let pending = Atomic.make (List.length init) in
-    let stop : [ `Budget | `Unbounded | `Exn of exn ] option Atomic.t =
-      Atomic.make None
+        decr qlen;
+        Some (n, false)
+    | l ->
+        let rec split_last acc = function
+          | [ x ] -> (acc, x)
+          | x :: tl -> split_last (x :: acc) tl
+          | [] -> assert false
+        in
+        let rev_rest, last = split_last [] l in
+        q := List.rev rev_rest;
+        decr qlen;
+        Some (last, true)
+  in
+  let finish_pending () =
+    if Atomic.fetch_and_add pending (-1) = 1 then Condition.broadcast pool_cv
+  in
+  (* Take the next node: own stack first, else the deque; leases it
+     before releasing the lock. *)
+  let take (w : wctx) =
+    Mutex.lock pool_m;
+    let rec wait_loop () =
+      if Atomic.get stop <> None then None
+      else
+        match !(wlocal.(w.wid)) with
+        | n :: rest ->
+            wlocal.(w.wid) := rest;
+            Some (n, false)
+        | [] -> (
+            match dequeue () with
+            | Some _ as r -> r
+            | None ->
+                if Atomic.get pending = 0 then None
+                else begin
+                  Condition.wait pool_cv pool_m;
+                  wait_loop ()
+                end)
     in
-    (* Under [pool_m]. *)
-    let request_stop_locked r =
-      if Atomic.compare_and_set stop None (Some r) then
-        Condition.broadcast pool_cv
-    in
-    (* Steal the oldest (shallowest) published node. Called under
-       [pool_m]; O(qcap) worst case, and qcap is small. *)
-    let steal () =
-      match !q with
-      | [] -> None
-      | l ->
-          let rec split_last acc = function
-            | [ x ] -> (acc, x)
-            | x :: tl -> split_last (x :: acc) tl
-            | [] -> assert false
-          in
-          let rev_rest, last = split_last [] l in
-          q := List.rev rev_rest;
-          decr qlen;
-          Some last
-    in
-    let finish_pending () =
-      if Atomic.fetch_and_add pending (-1) = 1 then
-        Condition.broadcast pool_cv
-    in
-    (* Take the next node: own stack first, else steal; leases it before
-       releasing the lock. Returns [(node, stolen)]. *)
-    let take (w : wctx) =
-      Mutex.lock pool_m;
-      let rec wait_loop () =
-        if Atomic.get stop <> None then None
-        else
-          match !(wlocal.(w.wid)) with
-          | n :: rest ->
-              wlocal.(w.wid) := rest;
-              Some (n, false)
-          | [] -> (
-              match steal () with
-              | Some n -> Some (n, true)
-              | None ->
-                  if Atomic.get pending = 0 then None
-                  else begin
-                    Condition.wait pool_cv pool_m;
-                    wait_loop ()
-                  end)
-      in
-      let r = wait_loop () in
-      (match r with
-      | Some (n, _) -> wlease.(w.wid) <- Some n
-      | None -> ());
-      Mutex.unlock pool_m;
-      (match r with
-      | Some _ -> Atomic.set w.w_beat (Obs.Clock.wall ())
-      | None -> ());
-      r
-    in
-    (* One critical section retires (or republishes) the node, appends
-       its certificate and clears the lease, so the frontier invariant
-       holds at every instant a snapshot could be taken. *)
-    let complete (w : wctx) (node : node) outcome cert =
-      Mutex.lock pool_m;
-      (match cert with Some c -> w.wcerts <- c :: w.wcerts | None -> ());
-      (match outcome with
-      | Leaf ->
-          wlease.(w.wid) <- None;
-          finish_pending ()
-      | Children (near, far) ->
-          (* count the children before retiring the parent so [pending]
-             can never dip to 0 with work in flight *)
-          ignore (Atomic.fetch_and_add pending 2);
-          let published = !qlen < qcap in
-          if published then begin
-            q := far :: !q;
-            incr qlen;
-            Condition.signal pool_cv
-          end;
-          wlocal.(w.wid) :=
-            (if published then [ near ] else [ near; far ])
-            @ !(wlocal.(w.wid));
-          wlease.(w.wid) <- None;
-          finish_pending ()
-      | Cancelled ->
-          (* watchdog unwedge: the node is still open — requeue it at
-             the steal end for any worker to replay, and re-arm this
-             worker's cell *)
-          q := !q @ [ node ];
-          incr qlen;
-          wlease.(w.wid) <- None;
-          Resilience.Deadline.clear_cell w.w_cell;
-          incr n_recoveries;
-          Condition.signal pool_cv
-      | Stop_budget ->
-          (* mid-LP budget stop: the node stays open for the exit gap
-             and the final checkpoint *)
-          wlocal.(w.wid) := node :: !(wlocal.(w.wid));
-          wlease.(w.wid) <- None;
-          request_stop_locked `Budget
-      | Stop_unbounded ->
-          wlease.(w.wid) <- None;
-          request_stop_locked `Unbounded;
-          finish_pending ());
-      write_checkpoint_locked ~force:false ();
-      Mutex.unlock pool_m;
-      Atomic.set w.w_beat (Obs.Clock.wall ())
-    in
-    let worker (w : wctx) =
-      (* Conservative open bound for incumbent notes: the root
-         relaxation (folding every private stack would need a second
-         lock hierarchy for a purely observational number). *)
-      let open_bound_now obj = Float.min obj !root_bound in
-      let rec loop () =
-        match take w with
-        | None -> ()
-        | Some (node, stolen) ->
-            (if budget () then begin
-               Mutex.lock pool_m;
-               (* keep the in-hand node's bound for the exit gap *)
-               wlocal.(w.wid) := node :: !(wlocal.(w.wid));
-               wlease.(w.wid) <- None;
-               request_stop_locked `Budget;
-               Mutex.unlock pool_m
-             end
-             else if
-               stolen && Resilience.Fault.fires "milp.steal_drop"
-             then begin
-               (* the thief dies at the steal handoff, taking the entry
-                  with it: recover as a worker death so the leased node
-                  replays instead of vanishing *)
-               if not (recover w Worker_killed) then raise Worker_killed
-             end
-             else if dominated node then begin
-               let c = dominated_cert w node in
-               Mutex.lock pool_m;
-               (match c with
-               | Some c -> w.wcerts <- c :: w.wcerts
-               | None -> ());
-               wlease.(w.wid) <- None;
-               finish_pending ();
-               Mutex.unlock pool_m
-             end
-             else
-               match process w ~open_bound_now node with
-               | exception ((Out_of_memory | Stack_overflow) as e) ->
-                   raise e
-               | exception e when recover w e -> ()
-               | exception e -> raise e
-               | outcome, cert -> complete w node outcome cert);
-            loop ()
-      in
-      try loop ()
-      with e ->
-        (* Unrecoverable (death budget spent, or resource exhaustion):
-           requeue the lease so no subtree is silently lost, then stop
-           the pool and propagate. *)
-        Mutex.lock pool_m;
-        (match wlease.(w.wid) with
-        | Some n ->
-            q := !q @ [ n ];
-            incr qlen;
-            wlease.(w.wid) <- None
-        | None -> ());
-        request_stop_locked (`Exn e);
-        Mutex.unlock pool_m
-    in
-    let wctxs =
-      Array.init domains (fun i ->
-          if i = 0 then w0
-          else mk_wctx i (Array.copy w0.wlb) (Array.copy w0.wub))
-    in
-    Atomic.set all_wctxs wctxs;
-    let spawned =
-      Array.init (domains - 1) (fun i ->
-          Domain.spawn (fun () -> worker wctxs.(i + 1)))
-    in
-    worker w0;
-    Array.iter Domain.join spawned;
-    (match Atomic.get stop with
-    | Some (`Exn e) -> raise e
-    | Some `Budget -> budget_hit := true
-    | Some `Unbounded -> stopped_unbounded := true
+    let r = wait_loop () in
+    (match r with Some (n, _) -> wlease.(w.wid) <- Some n | None -> ());
+    Mutex.unlock pool_m;
+    (match r with
+    | Some _ -> Atomic.set w.w_beat (Obs.Clock.wall ())
     | None -> ());
-    (* Merge per-domain counters into the coordinator's context so the
-       stats assembly below has one source. *)
-    Array.iter
-      (fun (w : wctx) ->
-        if w != w0 then begin
-          w0.w_iters <- w0.w_iters + w.w_iters;
-          w0.w_limited <- w0.w_limited + w.w_limited;
-          w0.w_warm <- w0.w_warm + w.w_warm;
-          w0.wcerts <- List.rev_append w.wcerts w0.wcerts
-        end)
-      wctxs
+    r
+  in
+  (* One critical section retires (or republishes) the node, appends
+     its certificate and clears the lease, so the frontier invariant
+     holds at every instant a snapshot could be taken. *)
+  let complete (w : wctx) (node : node) outcome cert =
+    Mutex.lock pool_m;
+    (match cert with Some c -> w.wcerts <- c :: w.wcerts | None -> ());
+    wlease.(w.wid) <- None;
+    (match outcome with
+    | Leaf -> finish_pending ()
+    | Children (near, far) ->
+        (* count the children before retiring the parent so [pending]
+           can never dip to 0 with work in flight *)
+        ignore (Atomic.fetch_and_add pending 2);
+        let published = domains > 1 && !qlen < qcap in
+        if published then begin
+          q := far :: !q;
+          incr qlen;
+          Condition.signal pool_cv
+        end;
+        wlocal.(w.wid) :=
+          (if published then [ near ] else [ near; far ]) @ !(wlocal.(w.wid));
+        finish_pending ()
+    | Cancelled ->
+        (* watchdog unwedge: the node is still open — requeue it at the
+           steal end for any worker to replay, and re-arm this worker's
+           cell *)
+        q := !q @ [ node ];
+        incr qlen;
+        Resilience.Deadline.clear_cell w.w_cell;
+        incr n_recoveries;
+        Condition.signal pool_cv
+    | Stop_budget ->
+        (* the node stays open for the exit gap and the final
+           checkpoint *)
+        wlocal.(w.wid) := node :: !(wlocal.(w.wid));
+        request_stop_locked `Budget
+    | Stop_unbounded ->
+        request_stop_locked `Unbounded;
+        finish_pending ());
+    write_checkpoint_locked ~force:false ();
+    Mutex.unlock pool_m;
+    Atomic.set w.w_beat (Obs.Clock.wall ())
+  in
+  (* One supervised node step on [w]: take and lease a node, process
+     it, complete it. [`Idle]: nothing left to take; [`Closed]: the node
+     was retired; [`Open]: it went back to the frontier (recovered,
+     cancelled, or stopped by the budget). The root ([~root:true]) skips
+     the between-node budget check: the budget was checked just before
+     the cut loop, which leaves the root LP solved in the warm state, so
+     processing the root is nearly free and gives a budget-truncated
+     solve its root bound. A budget that expires mid-LP still stops it. *)
+  let step ?(root = false) (w : wctx) =
+    match take w with
+    | None -> `Idle
+    | Some (node, stolen) -> (
+        if (not root) && budget () then begin
+          complete w node Stop_budget None;
+          `Open
+        end
+        else if stolen && Resilience.Fault.fires "milp.steal_drop" then begin
+          (* the thief dies at the steal handoff, taking the entry with
+             it: recover as a worker death so the leased node replays
+             instead of vanishing *)
+          if not (recover w Worker_killed) then raise Worker_killed;
+          `Open
+        end
+        else if dominated node then begin
+          complete w node Leaf (dominated_cert w node);
+          `Closed
+        end
+        else
+          match process w node with
+          | exception e when recover w e -> `Open
+          | ((Cancelled | Stop_budget) as outcome), cert ->
+              complete w node outcome cert;
+              `Open
+          | outcome, cert ->
+              complete w node outcome cert;
+              `Closed)
+  in
+  (* Unrecoverable failures (death budget spent, resource exhaustion)
+     requeue the lease so no subtree is silently lost, then stop the
+     pool; the coordinator re-raises after the join. *)
+  let supervised (w : wctx) f =
+    try f ()
+    with e ->
+      Mutex.lock pool_m;
+      (match wlease.(w.wid) with
+      | Some n ->
+          q := !q @ [ n ];
+          incr qlen;
+          wlease.(w.wid) <- None
+      | None -> ());
+      request_stop_locked (`Exn e);
+      Mutex.unlock pool_m
+  in
+  let worker (w : wctx) =
+    supervised w (fun () -> while step w <> `Idle do () done)
   in
   (* -------------------- root cutting planes -------------------------- *)
   (* Coordinator-only, before the root node is processed: solve the root
@@ -1699,108 +1523,80 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       end
     end
   in
-  (* -------------------- root + engine dispatch ----------------------- *)
-  let run_engines () =
+  (* -------------------- root, then the pool ------------------------- *)
+  let explore () =
+    (* A lone worker takes the whole frontier on its private stack, in
+       list order; with more domains the coordinator keeps the head and
+       the rest is published for thieves. *)
+    let seed init =
+      (match init with
+      | first :: rest when domains > 1 ->
+          wlocal.(0) := [ first ];
+          q := rest;
+          qlen := List.length rest
+      | _ -> wlocal.(0) := init);
+      Atomic.set pending (List.length init)
+    in
     (match resume with
     | Some ck ->
         (* The closed prefix is already loaded into [w0]; rebuild the
            frontier and continue. An empty frontier means the
            checkpointed solve had already closed the tree — the carried
            incumbent and certificate log are the whole answer. *)
-        let init = List.map node_of_open ck.Checkpoint.frontier in
-        if budget () then begin
-          budget_hit := true;
-          Mutex.lock pool_m;
-          q := init;
-          qlen := List.length init;
-          Mutex.unlock pool_m
-        end
-        else (
-          match init with
-          | [] -> ()
-          | init ->
-              if domains = 1 then run_sequential init
-              else run_parallel init)
+        seed (List.map node_of_open ck.Checkpoint.frontier)
+    | None when budget () -> budget_hit := true
     | None ->
-        let root =
-          { nid = alloc_nid (); parent_nid = -1; bounds = Root;
-            bound = neg_infinity; bvar = -1; bfrac = 0.0; dir_up = false;
-            cancels = 0 }
-        in
-        if budget () then budget_hit := true
-        else begin
-          root_cut_prep ();
-          (* Root: always processed by the coordinator alone, so
-             reduced-cost fixing mutates the root arrays before any
-             worker copies them — under the same supervision (bounded
-             replay on injected kills and watchdog cancels) as every
-             other node. *)
-          let rec do_root () =
-            Mutex.lock pool_m;
-            wlease.(0) <- Some root;
-            Mutex.unlock pool_m;
-            Atomic.set w0.w_beat (Obs.Clock.wall ());
-            match process w0 ~open_bound_now:(fun obj -> obj) root with
-            | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-            | exception e when recover w0 e ->
-                (* recover parked the root lease on [q]; reclaim it *)
-                Mutex.lock pool_m;
-                q := [];
-                qlen := 0;
-                Mutex.unlock pool_m;
-                do_root ()
-            | exception e ->
-                Mutex.lock pool_m;
-                wlease.(0) <- None;
-                Mutex.unlock pool_m;
-                raise e
-            | Cancelled, _ ->
-                Resilience.Deadline.clear_cell w0.w_cell;
-                Mutex.lock pool_m;
-                wlease.(0) <- None;
-                incr n_recoveries;
-                Mutex.unlock pool_m;
-                do_root ()
-            | outcome, cert ->
-                (match cert with
-                | Some c -> w0.wcerts <- c :: w0.wcerts
-                | None -> ());
-                Mutex.lock pool_m;
-                wlease.(0) <- None;
-                Mutex.unlock pool_m;
-                outcome
-          in
-          let root_outcome = do_root () in
-          (* w0 still sits at the root chain here, so its arrays hold the
-             post-fixing root box every subtree inherits. *)
-          root_box_lb := Array.copy w0.wlb;
-          root_box_ub := Array.copy w0.wub;
-          if certs_on then begin
-            cert_root_lb := Array.copy w0.wlb;
-            cert_root_ub := Array.copy w0.wub
-          end;
-          match root_outcome with
-          | Leaf -> ()
-          | Cancelled -> assert false (* handled inside do_root *)
-          | Stop_unbounded -> ()
-          | Stop_budget ->
-              budget_hit := true;
-              (* keep the unprocessed root in the frontier: a checkpoint
-                 of this state must resume into the root, not into an
-                 empty (= already proved) tree *)
-              Mutex.lock pool_m;
-              wlocal.(0) := [ root ];
-              Mutex.unlock pool_m
-          | Children (near, far) ->
-              if domains = 1 then run_sequential [ near; far ]
-              else run_parallel [ near; far ]
+        root_cut_prep ();
+        seed
+          [ { nid = alloc_nid (); parent_nid = -1; bounds = Root;
+              bound = neg_infinity; bvar = -1; bfrac = 0.0; dir_up = false;
+              cancels = 0 } ];
+        (* The coordinator steps the root alone until it closes, so
+           reduced-cost fixing mutates the root arrays before any worker
+           copies them. A budget stop mid-LP leaves the root in the
+           frontier: a checkpoint of this state resumes into the root,
+           not into an empty (= already proved) tree. *)
+        supervised w0 (fun () ->
+            while step ~root:true w0 = `Open do () done);
+        (* w0 still sits at the root chain here, so its arrays hold the
+           post-fixing root box every subtree inherits. *)
+        root_box_lb := Array.copy w0.wlb;
+        root_box_ub := Array.copy w0.wub;
+        if certs_on then begin
+          cert_root_lb := Array.copy w0.wlb;
+          cert_root_ub := Array.copy w0.wub
         end);
+    let wctxs =
+      Array.init domains (fun i ->
+          if i = 0 then w0
+          else mk_wctx i (Array.copy w0.wlb) (Array.copy w0.wub))
+    in
+    Atomic.set all_wctxs wctxs;
+    let spawned =
+      Array.init (domains - 1) (fun i ->
+          Domain.spawn (fun () -> worker wctxs.(i + 1)))
+    in
+    worker w0;
+    Array.iter Domain.join spawned;
+    (match Atomic.get stop with
+    | Some (`Exn e) -> raise e
+    | Some `Budget -> budget_hit := true
+    | Some `Unbounded -> stopped_unbounded := true
+    | None -> ());
+    (* Merge per-domain counters into the coordinator's context so the
+       stats assembly below has one source. *)
+    Array.iter
+      (fun (w : wctx) ->
+        if w != w0 then begin
+          w0.w_iters <- w0.w_iters + w.w_iters;
+          w0.w_limited <- w0.w_limited + w.w_limited;
+          w0.w_warm <- w0.w_warm + w.w_warm;
+          w0.wcerts <- List.rev_append w.wcerts w0.wcerts
+        end)
+      wctxs;
     (* Exit bound over everything still open, wherever it lives. *)
     Mutex.lock pool_m;
-    open_bound_end :=
-      List.fold_left
-        (fun acc (n : node) -> Float.min acc n.bound)
-        infinity (frontier_locked ());
+    open_bound_end := open_bound_locked ();
     (* Final flush: a budget-stopped supervised solve always leaves a
        fresh, resumable snapshot behind. *)
     write_checkpoint_locked ~force:true ();
@@ -1814,7 +1610,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     ~finally:(fun () ->
       Atomic.set wd_stop true;
       Option.iter Domain.join wd_dom)
-    run_engines;
+    explore;
   let open_bound = !open_bound_end in
   (* A node LP that hit its iteration cap was pruned unsolved, so neither
      "all nodes closed" nor a closed gap proves optimality. *)

@@ -56,7 +56,8 @@ type stats = {
           including a caller-seeded warm-start incumbent (recorded at
           ~0 s); [nan] if the solve ended with no incumbent *)
   domains : int;
-      (** domain count the tree was explored with (1 = sequential) *)
+      (** domain count the tree was explored with (1 = a lone
+          depth-first worker) *)
   checkpoints : int;  (** snapshots written to the [checkpoint] sink *)
   recoveries : int;
       (** supervised recoveries: worker deaths replayed plus watchdog
@@ -86,8 +87,7 @@ type result = {
   stats : stats;
   cert : Cert.t option;
       (** proof-carrying certificate; [Some] iff [certificates] was
-          requested and the warm-start machinery was active (forced
-          cold-start runs carry no dual/Farkas evidence) *)
+          requested (and, on resume, the checkpoint carried one) *)
 }
 
 (** Where and how often {!solve} snapshots its live frontier. *)
@@ -142,9 +142,6 @@ val solve :
     plus a parent pointer) instead of per-node array copies. Once an
     incumbent exists, reduced-cost bound fixing at the root fixes
     integer variables whose reduced cost exceeds the incumbent gap.
-    Setting the [PIPESYN_COLD_START] environment variable (non-empty)
-    disables all of this — cold per-node solves and most-fractional
-    branching — for A/B comparison.
 
     {2 Presolve and root cutting planes}
 
@@ -169,22 +166,23 @@ val solve :
     exhaustively solved models (property-tested in [test/test_fuzz.ml]).
     [cuts] (default: on unless the [PIPESYN_CUTS] environment variable
     is ["0"]/["off"]/["false"]/["no"]) disables the rounds when
-    [false]; under [PIPESYN_COLD_START] both presolve and cuts are off
-    (they live in the warm-start machinery). Each round emits a
+    [false]. Each round emits a
     ["milp.cut_round"] trace instant (round, cuts added, pool size,
     post-round bound). A resumed solve re-installs the checkpoint's cut
     rows verbatim and never re-separates, so node duals keep matching
     the extended row system.
 
     [domains] (default: [PIPESYN_DOMAINS], else 1; clamped to
-    \[1, 64\]) selects how many OCaml 5 domains explore the tree. With
-    [domains = 1] the engine is the exact sequential loop of earlier
-    releases. With [domains > 1] the root is still solved (and
-    reduced-cost fixing applied) by the calling domain; the two root
-    children then seed a work-stealing pool in which each domain dives
-    depth-first on a private stack, publishing the sibling of every
-    branch to a bounded shared deque that idle domains steal the
-    shallowest entries from. Statuses and objectives of runs that
+    \[1, 64\]) selects how many OCaml 5 domains explore the tree. There
+    is one engine, a work-stealing pool, at every domain count: the
+    calling domain first steps the root alone (so reduced-cost fixing
+    lands before any other domain copies the root box), then each domain
+    dives depth-first on a private stack, publishing the sibling of
+    every branch to a bounded shared deque that idle domains steal the
+    shallowest entries from. A lone worker ([domains = 1]) publishes
+    nothing: it explores in plain depth-first order, replays requeued
+    nodes oldest first, and its node and pivot counts are deterministic.
+    Statuses and objectives of runs that
     terminate by exhausting the tree are independent of [domains];
     budget-truncated runs keep deterministic statuses but may return a
     different (equally feasible) incumbent per domain count, because
@@ -266,9 +264,8 @@ val solve :
     accepted-incumbent log, and the root's reduced-cost fixing events
     with the pre-fixing duals — everything [Analyze.Audit] needs to
     re-verify the run in exact rational arithmetic (DESIGN.md §3h).
-    Collection is observational: it never changes exploration. Under
-    [PIPESYN_COLD_START] no certificate is produced (the evidence lives
-    in the warm-start solver state). A resumed solve extends the
+    Collection is observational: it never changes exploration. A
+    resumed solve extends the
     checkpoint's node log — cancelled or budget-cut nodes are left open
     (no log entry) rather than closed with an unsound fathom, which is
     what keeps resumed certificates audit-clean. A ["milp.cert"] trace
@@ -280,7 +277,8 @@ val solve :
     and the ["domain"] that processed it — also used as the event's
     Perfetto lane), a ["milp.fixed_vars"] instant when root fixing
     engages, a ["milp.incumbent"] instant per incumbent (objective +
-    gap — the convergence timeline, also recorded in the
+    gap against the least dual bound among the other open nodes, at
+    every domain count — the convergence timeline, also recorded in the
     ["milp.convergence"] series), and the supervision instants
     ["milp.recovery"], ["milp.stall"] and ["milp.checkpoint"]. Tracing
     is purely observational: it never changes branching, bounds or

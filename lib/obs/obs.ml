@@ -1381,16 +1381,13 @@ module Metrics = struct
     slack : float;
     solve_s : float option;
         (** MILP wall seconds; [None] (JSON null) for methods that never
-            entered the MILP (heuristic flows, hard errors) — pre-v9
-            files encoded that as 0.0, which {!of_json} normalizes back
-            to [None] *)
+            entered the MILP (heuristic flows, hard errors) *)
     bnb_nodes : int option;
         (** branch-and-bound nodes explored; [None] when the method
-            never entered the MILP (a real solve always explores at
-            least the root, so the legacy 0 encoding is unambiguous) *)
+            never entered the MILP *)
     lp_pivots : int option;
         (** simplex pivots across the solve's LPs; [None] when the
-            method never entered the MILP or for pre-v9 files *)
+            method never entered the MILP *)
     cuts_total : int;
     first_incumbent_s : float;
         (** seconds into the MILP solve when the first incumbent
@@ -1411,9 +1408,8 @@ module Metrics = struct
             0 when the solve carried none *)
     audit_errors : int option;
         (** error findings from the exact-rational certificate audit;
-            [None] (serialized as JSON null) when the audit did not run —
-            pre-v8 files encoded that as the sentinel -1, which
-            {!of_json} still maps back to [None] *)
+            [None] (serialized as JSON null) when the audit did not
+            run *)
     milp_cuts : int;
         (** cutting planes active in the MILP solve (root separation or
             re-installed on resume); 0 for heuristic flows or cuts-off
@@ -1433,10 +1429,10 @@ module Metrics = struct
             during the solve *)
     gc_minor_words : float;
         (** GC minor-heap words allocated across this result's flow run
-            (quick_stat delta); 0.0 for pre-v9 files *)
+            (quick_stat delta) *)
     gc_major_words : float;
         (** GC major-heap words allocated across this result's flow run
-            (quick_stat delta); 0.0 for pre-v9 files *)
+            (quick_stat delta) *)
     diagnostics : Json.t list;
     degradation : Json.t list;
   }
@@ -1479,113 +1475,56 @@ module Metrics = struct
       ]
 
   let of_json j =
-    let str k =
-      match Json.member k j with
-      | Some (Json.String s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" k)
+    let field what conv k =
+      match Option.bind (Json.member k j) conv with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "missing %s field %S" what k)
     in
-    let int k =
-      match Json.member k j with
-      | Some (Json.Int i) -> Ok i
-      | _ -> Error (Printf.sprintf "missing int field %S" k)
+    let str = field "string" (function Json.String s -> Some s | _ -> None) in
+    let int_v = function Json.Int i -> Some i | _ -> None in
+    let int = field "int" int_v in
+    let number = function
+      | Json.Float f -> Some f
+      | Json.Int i -> Some (float_of_int i)
+      | _ -> None
     in
-    let flt k =
-      match Json.member k j with
-      | Some (Json.Float f) -> Ok f
-      | Some (Json.Int i) -> Ok (float_of_int i)
-      | Some Json.Null -> Ok Float.nan
-      | _ -> Error (Printf.sprintf "missing number field %S" k)
+    (* Non-finite floats travel as JSON null. *)
+    let flt =
+      field "number" (function Json.Null -> Some Float.nan | v -> number v)
     in
+    let nullable what conv =
+      field what (function
+        | Json.Null -> Some None
+        | v -> Option.map Option.some (conv v))
+    in
+    let list = field "list" (function Json.List l -> Some l | _ -> None) in
     let ( let* ) = Result.bind in
     let* name = str "name" in
     let* method_ = str "method" in
     let* lut = int "lut" in
     let* ff = int "ff" in
     let* slack = flt "slack" in
-    let solve_s =
-      match Json.member "solve_s" j with
-      | Some (Json.Float f) -> Some f
-      | Some (Json.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
-    let bnb_nodes =
-      match Json.member "bnb_nodes" j with Some (Json.Int i) -> Some i | _ -> None
-    in
-    (* Pre-v9 files wrote 0.0 / 0 for methods that never entered the
-       MILP, indistinguishable from a real instant solve — except that a
-       real solve always explores at least the root node. Normalize the
-       legacy pair back to None on read, like audit_errors' -1. *)
-    let solve_s, bnb_nodes =
-      match (solve_s, bnb_nodes) with
-      | Some s, Some 0 when s = 0.0 -> (None, None)
-      | p -> p
-    in
-    (* Absent in schema v1–v8 files. *)
-    let lp_pivots =
-      match Json.member "lp_pivots" j with Some (Json.Int i) -> Some i | _ -> None
-    in
+    let* solve_s = nullable "number" number "solve_s" in
+    let* bnb_nodes = nullable "int" int_v "bnb_nodes" in
+    let* lp_pivots = nullable "int" int_v "lp_pivots" in
     let* cuts_total = int "cuts_total" in
+    let* first_incumbent_s = flt "first_incumbent_s" in
+    let* final_gap = flt "final_gap" in
     let* status = str "status" in
-    (* Absent in schema v1–v3 files; default to nan for compatibility. *)
-    let flt_opt k =
-      match Json.member k j with
-      | Some (Json.Float f) -> f
-      | Some (Json.Int i) -> float_of_int i
-      | _ -> Float.nan
-    in
-    let first_incumbent_s = flt_opt "first_incumbent_s" in
-    let final_gap = flt_opt "final_gap" in
-    (* Absent in schema v1–v4 files. *)
-    let objective = flt_opt "objective" in
-    let nodes_per_s = flt_opt "nodes_per_s" in
-    let domains =
-      match Json.member "domains" j with Some (Json.Int i) -> i | _ -> 1
-    in
-    (* Absent in schema v1–v5 files. *)
-    let cert_nodes =
-      match Json.member "cert_nodes" j with Some (Json.Int i) -> i | _ -> 0
-    in
-    let audit_errors =
-      (* v8 writes null for "did not run"; v6/v7 wrote the sentinel -1;
-         older files omit the field entirely — all map to None *)
-      match Json.member "audit_errors" j with
-      | Some (Json.Int i) when i >= 0 -> Some i
-      | _ -> None
-    in
-    (* Absent in schema v1–v7 files. *)
-    let milp_cuts =
-      match Json.member "milp_cuts" j with Some (Json.Int i) -> i | _ -> 0
-    in
-    let gap_closed_root =
-      match Json.member "gap_closed_root" j with
-      | Some (Json.Float f) -> f
-      | Some (Json.Int i) -> float_of_int i
-      | _ -> Float.nan
-    in
-    (* Absent in schema v1–v6 files. *)
-    let int_opt k =
-      match Json.member k j with Some (Json.Int i) -> i | _ -> 0
-    in
-    let checkpoints = int_opt "checkpoints" in
-    let recoveries = int_opt "recoveries" in
-    let stalls = int_opt "stalls" in
-    (* Absent in schema v1–v8 files. *)
-    let gc_flt k =
-      match Json.member k j with
-      | Some (Json.Float f) -> f
-      | Some (Json.Int i) -> float_of_int i
-      | _ -> 0.0
-    in
-    let gc_minor_words = gc_flt "gc_minor_words" in
-    let gc_major_words = gc_flt "gc_major_words" in
-    (* Absent in schema v1 files; default to empty for compatibility. *)
-    let diagnostics =
-      match Json.member "diagnostics" j with Some (Json.List l) -> l | _ -> []
-    in
-    (* Absent in schema v1/v2 files; default to empty for compatibility. *)
-    let degradation =
-      match Json.member "degradation" j with Some (Json.List l) -> l | _ -> []
-    in
+    let* objective = flt "objective" in
+    let* domains = int "domains" in
+    let* nodes_per_s = flt "nodes_per_s" in
+    let* cert_nodes = int "cert_nodes" in
+    let* audit_errors = nullable "int" int_v "audit_errors" in
+    let* milp_cuts = int "milp_cuts" in
+    let* gap_closed_root = flt "gap_closed_root" in
+    let* checkpoints = int "checkpoints" in
+    let* recoveries = int "recoveries" in
+    let* stalls = int "stalls" in
+    let* gc_minor_words = flt "gc_minor_words" in
+    let* gc_major_words = flt "gc_major_words" in
+    let* diagnostics = list "diagnostics" in
+    let* degradation = list "degradation" in
     Ok
       {
         name;

@@ -513,24 +513,19 @@ module Metrics : sig
     solve_s : float option;
         (** MILP wall seconds; [None] (JSON [null]) for methods that
             never entered the MILP — heuristic flows and hard errors
-            (schema v9; pre-v9 files wrote 0.0 there, which {!of_json}
-            normalizes back to [None]) *)
+            (schema v9) *)
     bnb_nodes : int option;
         (** branch-and-bound nodes explored; [None] when the method
-            never entered the MILP. A real solve always explores at
-            least the root node, so the legacy 0 encoding reads back
-            unambiguously as [None] (schema v9) *)
+            never entered the MILP (schema v9) *)
     lp_pivots : int option;
         (** simplex pivots across all of the solve's LPs
             ([Milp.stats.lp_iterations], this-run-only on resume);
-            [None] when the method never entered the MILP or for pre-v9
-            files (schema v9) *)
+            [None] when the method never entered the MILP (schema v9) *)
     cuts_total : int;  (** cuts enumerated for the run's cut sets *)
     first_incumbent_s : float;
         (** seconds into the MILP solve when the first incumbent
             (including a seeded warm-start incumbent) appeared; nan for
-            heuristic flows or when the solver found none (schema v4;
-            absent fields read back as nan from older files) *)
+            heuristic flows or when the solver found none (schema v4) *)
     final_gap : float;
         (** relative incumbent/bound gap at solver exit ([Milp.stats.gap]);
             nan for heuristic flows (schema v4) *)
@@ -543,20 +538,18 @@ module Metrics : sig
             heuristic flows (schema v5). The cross-domain-count
             determinism check in CI compares this field. *)
     domains : int;
-        (** B&B worker-domain count the solve ran with (1 = sequential;
-            schema v5, absent fields read back as 1 from older files) *)
+        (** B&B worker-domain count the solve ran with (schema v5) *)
     nodes_per_s : float;
         (** B&B node throughput [bnb_nodes / solve_s]; nan for heuristic
             flows or unmeasurably fast solves (schema v5) *)
     cert_nodes : int;
         (** node count of the solve's proof-carrying certificate
             ({!Lp.Cert.t}); 0 when the solve carried none — heuristic
-            flows, certificates off, or cold-start mode (schema v6) *)
+            flows or certificates off (schema v6) *)
     audit_errors : int option;
         (** error findings from the exact-rational certificate audit
             ([Analyze.Audit]); [None] when the audit did not run —
-            serialized as JSON [null] since schema v8 (v6/v7 wrote the
-            sentinel -1, which reads back as [None]; the CI audit gate
+            serialized as JSON [null] (schema v8; the CI audit gate
             requires [Some 0] here) *)
     milp_cuts : int;
         (** cutting planes active in the MILP solve
@@ -582,21 +575,18 @@ module Metrics : sig
             (schema v7) *)
     gc_minor_words : float;
         (** GC minor-heap words allocated across this result's flow run
-            ([Gc.quick_stat] delta bracketing the run); 0.0 for pre-v9
-            files (schema v9) *)
+            ([Gc.quick_stat] delta bracketing the run) (schema v9) *)
     gc_major_words : float;
-        (** GC major-heap words allocated across this result's flow run;
-            0.0 for pre-v9 files (schema v9) *)
+        (** GC major-heap words allocated across this result's flow run
+            (schema v9) *)
     diagnostics : Json.t list;
         (** static-analysis findings from the run's lint gate, one
-            {!Analyze.Diag.to_json} object each (schema v2; absent fields
-            read back as [[]] from v1 files) *)
+            {!Analyze.Diag.to_json} object each (schema v2) *)
     degradation : Json.t list;
         (** the run's degradation trail, one
             {!Resilience.Cascade.attempt_to_json} object per failed or
             degraded attempt, empty for a clean full-strength run
-            (schema v3; absent fields read back as [[]] from v1/v2
-            files) *)
+            (schema v3) *)
   }
 
   val schema_version : int
@@ -627,7 +617,9 @@ module Metrics : sig
       "diagnostics": […], "degradation": […]}]. *)
 
   val of_json : Json.t -> (t, string) result
-  (** Inverse of {!to_json} (round-trip checks). *)
+  (** Inverse of {!to_json}. Reads the current schema only: every field
+      must be present ([Error] names the first missing one), so a record
+      from an older schema is rejected rather than defaulted. *)
 
   val resources : unit -> Json.t
   (** The file-level ["resources"] object, captured at call time:

@@ -1,6 +1,6 @@
 (* Exact-rational certificate audit (DESIGN.md Sec. 3h).
 
-   Three layers: unit tests for the dyadic-rational core [Analyze.Qd];
+   Three layers: unit tests for the dyadic-rational core [Lp.Qd];
    positive end-to-end checks that proof-carrying solves of hand-built
    MILPs, kernel formulations and all nine registry benchmarks pass
    [Analyze.Audit] at 1, 2 and 4 worker domains; and negative checks
@@ -8,7 +8,7 @@
    log, stale incumbent, broken Farkas ray, broken branch arithmetic,
    fractional incumbent) each trip their designated CERT code. *)
 
-let qd = Alcotest.testable Analyze.Qd.pp Analyze.Qd.equal
+let qd = Alcotest.testable Lp.Qd.pp Lp.Qd.equal
 
 (* --- Qd: exact dyadic rationals ------------------------------------- *)
 
@@ -18,7 +18,7 @@ let test_qd_roundtrip () =
       Alcotest.(check (float 0.0))
         (Printf.sprintf "of_float/to_float roundtrip %h" f)
         f
-        (Analyze.Qd.to_float (Analyze.Qd.of_float f)))
+        (Lp.Qd.to_float (Lp.Qd.of_float f)))
     [ 0.0; 1.0; -1.0; 0.1; -0.3; 1e-300; 1e300; Float.ldexp 1.0 1000;
       Float.ldexp 1.0 (-1000); 4503599627370497.0 (* 2^52 + 1 *) ]
 
@@ -27,7 +27,7 @@ let test_qd_nonfinite () =
     (fun f ->
       let raised =
         try
-          ignore (Analyze.Qd.of_float f);
+          ignore (Lp.Qd.of_float f);
           false
         with Invalid_argument _ -> true
       in
@@ -37,43 +37,43 @@ let test_qd_nonfinite () =
     [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let test_qd_ring () =
-  let q = Analyze.Qd.of_float in
-  let i = Analyze.Qd.of_int in
-  Alcotest.check qd "0.5 + 0.25 = 0.75" (q 0.75) (Analyze.Qd.add (q 0.5) (q 0.25));
-  Alcotest.check qd "0.5 * 2 = 1" (i 1) (Analyze.Qd.mul (q 0.5) (i 2));
-  Alcotest.check qd "a - a = 0" Analyze.Qd.zero (Analyze.Qd.sub (q 0.1) (q 0.1));
-  Alcotest.check qd "neg (neg a) = a" (q 0.3) (Analyze.Qd.neg (Analyze.Qd.neg (q 0.3)));
+  let q = Lp.Qd.of_float in
+  let i = Lp.Qd.of_int in
+  Alcotest.check qd "0.5 + 0.25 = 0.75" (q 0.75) (Lp.Qd.add (q 0.5) (q 0.25));
+  Alcotest.check qd "0.5 * 2 = 1" (i 1) (Lp.Qd.mul (q 0.5) (i 2));
+  Alcotest.check qd "a - a = 0" Lp.Qd.zero (Lp.Qd.sub (q 0.1) (q 0.1));
+  Alcotest.check qd "neg (neg a) = a" (q 0.3) (Lp.Qd.neg (Lp.Qd.neg (q 0.3)));
   (* mixed-exponent sums that a float accumulator would round away *)
   let big = q (Float.ldexp 1.0 80) and tiny = q (Float.ldexp 1.0 (-80)) in
-  let s = Analyze.Qd.add (Analyze.Qd.sub big big) tiny in
+  let s = Lp.Qd.add (Lp.Qd.sub big big) tiny in
   Alcotest.check qd "(big - big) + tiny = tiny exactly" tiny s;
   (* the arithmetic is exact, so the float-lore identity 0.1 + 0.2 = 0.3
      must *fail*: the dyadic values really differ *)
   Alcotest.(check bool)
     "0.1 + 0.2 <> 0.3 in exact arithmetic" false
-    (Analyze.Qd.equal (Analyze.Qd.add (q 0.1) (q 0.2)) (q 0.3));
-  Alcotest.check qd "sum 0..3 = 6" (i 6) (Analyze.Qd.sum 4 i)
+    (Lp.Qd.equal (Lp.Qd.add (q 0.1) (q 0.2)) (q 0.3));
+  Alcotest.check qd "sum 0..3 = 6" (i 6) (Lp.Qd.sum 4 i)
 
 let test_qd_order () =
-  let q = Analyze.Qd.of_float in
-  Alcotest.(check bool) "0.1 < 0.2" true (Analyze.Qd.lt (q 0.1) (q 0.2));
-  Alcotest.(check bool) "-3 <= -3" true (Analyze.Qd.leq (q (-3.0)) (q (-3.0)));
+  let q = Lp.Qd.of_float in
+  Alcotest.(check bool) "0.1 < 0.2" true (Lp.Qd.lt (q 0.1) (q 0.2));
+  Alcotest.(check bool) "-3 <= -3" true (Lp.Qd.leq (q (-3.0)) (q (-3.0)));
   Alcotest.(check bool) "2^60 >= 2^59" true
-    (Analyze.Qd.geq (q (Float.ldexp 1.0 60)) (q (Float.ldexp 1.0 59)));
-  Alcotest.(check int) "sign -0.5" (-1) (Analyze.Qd.sign (q (-0.5)));
+    (Lp.Qd.geq (q (Float.ldexp 1.0 60)) (q (Float.ldexp 1.0 59)));
+  Alcotest.(check int) "sign -0.5" (-1) (Lp.Qd.sign (q (-0.5)));
   Alcotest.(check bool) "is_zero (0.1 - 0.1)" true
-    (Analyze.Qd.is_zero (Analyze.Qd.sub (q 0.1) (q 0.1)));
-  Alcotest.check qd "min picks smaller" (q 0.25) (Analyze.Qd.min (q 0.5) (q 0.25))
+    (Lp.Qd.is_zero (Lp.Qd.sub (q 0.1) (q 0.1)));
+  Alcotest.check qd "min picks smaller" (q 0.25) (Lp.Qd.min (q 0.5) (q 0.25))
 
 let test_qd_integer () =
-  let q = Analyze.Qd.of_float in
-  Alcotest.(check bool) "3.0 integral" true (Analyze.Qd.is_integer (q 3.0));
-  Alcotest.(check bool) "2.5 not integral" false (Analyze.Qd.is_integer (q 2.5));
+  let q = Lp.Qd.of_float in
+  Alcotest.(check bool) "3.0 integral" true (Lp.Qd.is_integer (q 3.0));
+  Alcotest.(check bool) "2.5 not integral" false (Lp.Qd.is_integer (q 2.5));
   Alcotest.(check bool) "2^60 integral" true
-    (Analyze.Qd.is_integer (q (Float.ldexp 1.0 60)));
+    (Lp.Qd.is_integer (q (Float.ldexp 1.0 60)));
   Alcotest.(check bool) "2^-3 not integral" false
-    (Analyze.Qd.is_integer (q 0.125));
-  Alcotest.(check bool) "0 integral" true (Analyze.Qd.is_integer Analyze.Qd.zero)
+    (Lp.Qd.is_integer (q 0.125));
+  Alcotest.(check bool) "0 integral" true (Lp.Qd.is_integer Lp.Qd.zero)
 
 (* --- positive audits: hand-built MILPs ------------------------------ *)
 

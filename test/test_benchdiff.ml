@@ -161,6 +161,19 @@ let test_schema_mismatch_is_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "schema mismatch must be a hard error"
 
+let test_old_schema_is_error () =
+  (* two files that agree with each other but not with this build *)
+  let old_ = file ~schema:3 [ row () ] in
+  match Benchdiff.diff old_ old_ with
+  | Ok _ -> Alcotest.fail "a v3 file must be rejected"
+  | Error e ->
+      Alcotest.(check string) "names both versions"
+        (Printf.sprintf
+           "OLD: metrics schema v3, but this build reads only v%d — \
+            regenerate the file with the current binary"
+           Obs.Metrics.schema_version)
+        e
+
 let test_thresholds_are_respected () =
   let old_ = file [ row ~lp_pivots:(Some 1000) () ] in
   let new_ = file [ row ~lp_pivots:(Some 1150) () ] in
@@ -228,6 +241,8 @@ let () =
         [
           Alcotest.test_case "schema mismatch is error" `Quick
             test_schema_mismatch_is_error;
+          Alcotest.test_case "old schema is error" `Quick
+            test_old_schema_is_error;
           Alcotest.test_case "report JSON round-trips" `Quick
             test_report_json_round_trips;
         ] );

@@ -193,11 +193,11 @@ let test_metrics_roundtrip () =
       | Ok m ->
           Alcotest.(check bool) "round-trips" true (m = sample_metrics))
 
-(* A v3-era record (no convergence fields) must still parse; the new
-   fields default to nan rather than failing the load, and the legacy
-   "solve_s": 0.0 / "bnb_nodes": 0 heuristic encoding normalizes to
-   None (a real solve always explores at least the root node). *)
-let test_metrics_v3_compat () =
+(* Readers take the current schema only: a v3-era record (no
+   convergence, solver, audit, supervision or GC fields; the legacy
+   0.0/0 heuristic encoding) is rejected, naming a missing field,
+   rather than read back with defaults. *)
+let test_metrics_v3_rejected () =
   let s =
     {|{"name":"X","method":"HLS Tool","lut":1,"ff":2,"slack":0.5,
        "solve_s":0.0,"bnb_nodes":0,"cuts_total":3,"status":"heuristic"}|}
@@ -206,36 +206,10 @@ let test_metrics_v3_compat () =
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok j -> (
       match Obs.Metrics.of_json j with
-      | Error e -> Alcotest.failf "of_json failed: %s" e
-      | Ok m ->
-          Alcotest.(check (option (float 0.0)))
-            "legacy 0.0 solve_s normalizes to None" None
-            m.Obs.Metrics.solve_s;
-          Alcotest.(check (option int))
-            "legacy 0 bnb_nodes normalizes to None" None
-            m.Obs.Metrics.bnb_nodes;
-          Alcotest.(check (option int)) "lp_pivots defaults to None" None
-            m.Obs.Metrics.lp_pivots;
-          Alcotest.(check (float 0.0)) "gc_minor_words defaults to 0" 0.0
-            m.Obs.Metrics.gc_minor_words;
-          Alcotest.(check bool) "first_incumbent_s defaults to nan" true
-            (Float.is_nan m.Obs.Metrics.first_incumbent_s);
-          Alcotest.(check bool) "final_gap defaults to nan" true
-            (Float.is_nan m.Obs.Metrics.final_gap);
-          Alcotest.(check int) "cert_nodes defaults to 0" 0
-            m.Obs.Metrics.cert_nodes;
-          Alcotest.(check (option int)) "audit_errors defaults to None"
-            None m.Obs.Metrics.audit_errors;
-          Alcotest.(check int) "milp_cuts defaults to 0" 0
-            m.Obs.Metrics.milp_cuts;
-          Alcotest.(check bool) "gap_closed_root defaults to nan" true
-            (Float.is_nan m.Obs.Metrics.gap_closed_root);
-          Alcotest.(check int) "checkpoints defaults to 0" 0
-            m.Obs.Metrics.checkpoints;
-          Alcotest.(check int) "recoveries defaults to 0" 0
-            m.Obs.Metrics.recoveries;
-          Alcotest.(check int) "stalls defaults to 0" 0
-            m.Obs.Metrics.stalls)
+      | Ok _ -> Alcotest.fail "v3 record accepted"
+      | Error e ->
+          Alcotest.(check string) "first missing field named"
+            "missing int field \"lp_pivots\"" e)
 
 let test_metrics_file_shape () =
   Obs.reset ();
@@ -334,7 +308,8 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "record round-trip" `Quick test_metrics_roundtrip;
-          Alcotest.test_case "v3 record compat" `Quick test_metrics_v3_compat;
+          Alcotest.test_case "v3 record rejected" `Quick
+            test_metrics_v3_rejected;
           Alcotest.test_case "file shape" `Quick test_metrics_file_shape;
           Alcotest.test_case "flow end-to-end" `Quick
             test_flow_metrics_end_to_end;
