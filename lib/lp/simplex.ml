@@ -16,6 +16,10 @@ let c_resolve_pivots = Obs.Counter.get "simplex.resolve_pivots"
 let c_resolve_warm = Obs.Counter.get "simplex.resolve_warm"
 let c_resolve_cold = Obs.Counter.get "simplex.resolve_cold"
 
+(* Row-operation work: per pivot, rows eliminated (the reduced-cost row
+   included) x nonzeros of the pivot row. Bumped once per pivot. *)
+let c_row_ops = Obs.Counter.get "simplex.row_ops"
+
 type vstat = Basic of int (* row *) | At_lower | At_upper
 
 (* Internal working problem. All columns are shifted so the *original*
@@ -45,6 +49,12 @@ type tab = {
           certificate extraction ({!duals}, Farkas rays): the artificial-row
           flip applied below cancels out of that algebra, but [sign] does
           not. *)
+  nz_col : int array;
+  nz_val : float array;
+      (** scratch, length [cols]: the nonzero columns and values of a
+          row being applied to the others ({!row_reduce},
+          {!recompute_beta}). Owned by this tableau alone, so a pivot
+          never allocates and parallel workers never share a buffer. *)
 }
 
 let value t j =
@@ -53,31 +63,46 @@ let value t j =
   | At_lower -> t.lo.(j)
   | At_upper -> t.hi.(j)
 
-(* Recompute reduced costs z_j = c_j - c_B . a_j from scratch. *)
+(* Recompute reduced costs z_j = c_j - c_B . a_j from scratch, row by row
+   over the basic rows with nonzero cost; each z_j still accumulates its
+   terms in row order. *)
 let recompute_z t =
-  let cb = Array.map (fun j -> t.cost.(j)) t.basis in
-  for j = 0 to t.cols - 1 do
-    let acc = ref t.cost.(j) in
-    for i = 0 to t.m - 1 do
-      let aij = t.a.(i).(j) in
-      if aij <> 0.0 && cb.(i) <> 0.0 then acc := !acc -. (cb.(i) *. aij)
-    done;
-    t.z.(j) <- !acc
+  Array.blit t.cost 0 t.z 0 t.cols;
+  for i = 0 to t.m - 1 do
+    let cb = t.cost.(t.basis.(i)) in
+    if cb <> 0.0 then begin
+      let row = t.a.(i) in
+      for j = 0 to t.cols - 1 do
+        let aij = row.(j) in
+        if aij <> 0.0 then t.z.(j) <- t.z.(j) -. (cb *. aij)
+      done
+    end
   done
 
 (* Recompute basic values beta = B⁻¹b - Σ_{nonbasic} (B⁻¹A_j)·x_j from the
-   maintained [b] column — removes incremental drift across warm restarts. *)
+   maintained [b] column — removes incremental drift across warm restarts.
+   Row by row over the nonbasic columns away from zero, in column order. *)
 let recompute_beta t =
-  Array.blit t.b 0 t.beta 0 t.m;
+  let nx = ref 0 in
   for j = 0 to t.cols - 1 do
     match t.stat.(j) with
     | Basic _ -> ()
     | At_lower | At_upper ->
         let x = value t j in
-        if x <> 0.0 then
-          for i = 0 to t.m - 1 do
-            t.beta.(i) <- t.beta.(i) -. (t.a.(i).(j) *. x)
-          done
+        if x <> 0.0 then begin
+          t.nz_col.(!nx) <- j;
+          t.nz_val.(!nx) <- x;
+          incr nx
+        end
+  done;
+  for i = 0 to t.m - 1 do
+    let row = t.a.(i) in
+    let acc = ref t.b.(i) in
+    for k = 0 to !nx - 1 do
+      let aij = row.(t.nz_col.(k)) in
+      if aij <> 0.0 then acc := !acc -. (aij *. t.nz_val.(k))
+    done;
+    t.beta.(i) <- !acc
   done
 
 (* Choose an entering column. Dantzig by default; Bland when [bland]. *)
@@ -145,21 +170,41 @@ let do_bound_flip t j ~dir ~tstar =
     | Basic _ -> assert false)
 
 (* Row reduction making column j a unit vector at row r; transforms [b]
-   and the reduced costs alongside. Shared by primal and dual pivots. *)
+   and the reduced costs alongside. Shared by primal and dual pivots.
+   The normalized pivot row's nonzeros are gathered once; only rows with
+   a nonzero in column j are eliminated, over those columns only. Every
+   cell gets the operations a full sweep would give it, in the same
+   order; a skipped zero could only flip the sign of a zero cell, which
+   neither pricing nor the ratio tests read. *)
 let row_reduce t j r =
   let prow = t.a.(r) in
   let piv = prow.(j) in
+  let nz_col = t.nz_col and nz_val = t.nz_val in
+  let nz = ref 0 in
   for c = 0 to t.cols - 1 do
-    prow.(c) <- prow.(c) /. piv
+    let v = prow.(c) in
+    if v <> 0.0 then begin
+      let v = v /. piv in
+      prow.(c) <- v;
+      if v <> 0.0 then begin
+        nz_col.(!nz) <- c;
+        nz_val.(!nz) <- v;
+        incr nz
+      end
+    end
   done;
+  let nz = !nz in
   t.b.(r) <- t.b.(r) /. piv;
+  let touched = ref 0 in
   for i = 0 to t.m - 1 do
     if i <> r then begin
-      let f = t.a.(i).(j) in
+      let row_i = t.a.(i) in
+      let f = row_i.(j) in
       if f <> 0.0 then begin
-        let row_i = t.a.(i) in
-        for c = 0 to t.cols - 1 do
-          row_i.(c) <- row_i.(c) -. (f *. prow.(c))
+        incr touched;
+        for k = 0 to nz - 1 do
+          let c = nz_col.(k) in
+          row_i.(c) <- row_i.(c) -. (f *. nz_val.(k))
         done;
         row_i.(j) <- 0.0;
         t.b.(i) <- t.b.(i) -. (f *. t.b.(r))
@@ -168,11 +213,14 @@ let row_reduce t j r =
   done;
   let zf = t.z.(j) in
   if zf <> 0.0 then begin
-    for c = 0 to t.cols - 1 do
-      t.z.(c) <- t.z.(c) -. (zf *. prow.(c))
+    incr touched;
+    for k = 0 to nz - 1 do
+      let c = nz_col.(k) in
+      t.z.(c) <- t.z.(c) -. (zf *. nz_val.(k))
     done;
     t.z.(j) <- 0.0
   end;
+  Obs.Counter.incr ~by:(!touched * nz) c_row_ops;
   t.basis.(r) <- j;
   t.stat.(j) <- Basic r
 
@@ -427,6 +475,8 @@ let build (raw : Model.raw) lbv ubv =
     cost = Array.make cols 0.0;
     z = Array.make cols 0.0;
     stat; basis; sign;
+    nz_col = Array.make cols 0;
+    nz_val = Array.make cols 0.0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -561,27 +611,6 @@ let solve_state ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
           | Infeasible, Some r -> Some (Cert.Ray r)
           | _ -> None) } )
   end
-
-let copy_tab t =
-  {
-    t with
-    a = Array.map Array.copy t.a;
-    b = Array.copy t.b;
-    beta = Array.copy t.beta;
-    lo = Array.copy t.lo;
-    hi = Array.copy t.hi;
-    cost = Array.copy t.cost;
-    z = Array.copy t.z;
-    stat = Array.copy t.stat;
-    basis = Array.copy t.basis;
-  }
-
-let copy st =
-  {
-    st with
-    base_lb = Array.copy st.base_lb;
-    t = Option.map copy_tab st.t;
-  }
 
 let last_resolve_warm st = st.last_warm
 
@@ -797,7 +826,8 @@ let add_rows st (new_rows : ((int * float) array * float) array) =
                 if f <> 0.0 then begin
                   let src = a'.(i) in
                   for c = 0 to cols' - 1 do
-                    row.(c) <- row.(c) -. (f *. src.(c))
+                    let s = src.(c) in
+                    if s <> 0.0 then row.(c) <- row.(c) -. (f *. s)
                   done;
                   row.(basis'.(i)) <- 0.0;
                   bshift := !bshift -. (f *. b'.(i))
@@ -810,7 +840,8 @@ let add_rows st (new_rows : ((int * float) array * float) array) =
           let t' =
             { m = m'; n; cols = cols'; a = a'; b = b'
             ; beta = Array.make m' 0.0; lo = lo'; hi = hi'; cost = cost'
-            ; z = z'; stat = stat'; basis = basis'; sign = sign' }
+            ; z = z'; stat = stat'; basis = basis'; sign = sign'
+            ; nz_col = Array.make cols' 0; nz_val = Array.make cols' 0.0 }
           in
           recompute_beta t';
           st.t <- Some t'

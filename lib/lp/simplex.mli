@@ -1,4 +1,4 @@
-(** Bounded-variable two-phase primal simplex on a dense tableau, with a
+(** Bounded-variable two-phase primal simplex on a tableau, with a
     reusable solver state for warm-started branch-and-bound.
 
     Solves [min c·x  s.t.  A x {<=,=,>=} b,  l <= x <= u] with finite lower
@@ -9,6 +9,15 @@
     Phase 1 introduces artificial variables only for rows whose slack
     cannot serve as an initial basic variable. Dantzig pricing with an
     automatic switch to Bland's rule guards against cycling.
+
+    The tableau is stored dense, m × (n + m + artificials), but its row
+    operations touch only nonzeros: a pivot gathers the pivot row's
+    nonzero columns once and eliminates only the rows with a nonzero in
+    the entering column, so it costs O(rows touched × pivot-row nonzeros)
+    plus an O(m + columns) scan, not O(m × columns). Every cell gets the
+    floating-point operations a full sweep would give it, in the same
+    order, so the pivot sequence and every result are exactly those of a
+    full sweep.
 
     {2 Warm restarts}
 
@@ -60,8 +69,7 @@ val solve :
 
 type state
 (** Tableau + basis + bound status after a {!solve_state} or {!resolve}
-    call. Mutable: {!resolve} updates it in place, so clone with {!copy}
-    before branching if both children need independent restarts. *)
+    call. Mutable: {!resolve} and {!add_rows} update it in place. *)
 
 val solve_state :
   ?max_iters:int ->
@@ -93,10 +101,10 @@ val resolve :
 
     Counters ({!Obs}): [simplex.resolve_pivots] (dual + primal pivots
     spent here), [simplex.resolve_warm] / [simplex.resolve_cold] (which
-    path ran). *)
-
-val copy : state -> state
-(** Deep copy (tableau, basis, bounds) — clone-on-branch. *)
+    path ran). Every solve and resolve also adds to [simplex.row_ops]:
+    per pivot, the rows eliminated (the reduced-cost row included) times
+    the nonzeros of the pivot row — the row-operation work in cell
+    updates, bumped once per pivot. *)
 
 val last_resolve_warm : state -> bool
 (** Whether the most recent {!resolve} used the warm path (including

@@ -695,6 +695,222 @@ let test_milp_cuts_ab_parity () =
     Alcotest.failf "cuts changed the objective: %g vs %g"
       on.Lp.Milp.objective off.Lp.Milp.objective
 
+(* --- pinned pivot sequences ------------------------------------------- *)
+
+(* A 48-bit LCG, so the pinned LPs do not depend on the stdlib's Random
+   algorithm. *)
+let lcg seed =
+  let s = ref (seed land 0xFFFF_FFFF_FFFF) in
+  fun bound ->
+    s := ((!s * 0x5DEECE66D) + 0xB) land 0xFFFF_FFFF_FFFF;
+    (!s lsr 17) mod bound
+
+(* A sparse random LP (about 30 % dense) mixing [<=], [>=] and [=] rows,
+   shifted lower bounds, infinite upper bounds, thirds and coefficients
+   near [pivot_eps], so phase 1, bound flips, fill-in and the pivot
+   tolerance all take part. Every row holds at a hidden point [x0] inside
+   the box; one seed in five adds a second copy of an equality row with a
+   shifted right-hand side, which makes the LP infeasible. *)
+let pinned_lp seed =
+  let rnd = lcg seed in
+  let m = Lp.Model.create () in
+  let n = 10 + rnd 15 in
+  let lbs = Array.init n (fun _ -> float_of_int (rnd 5 - 2)) in
+  let ubs =
+    Array.map
+      (fun lb -> if rnd 4 = 0 then infinity else lb +. float_of_int (1 + rnd 8))
+      lbs
+  in
+  let x0 =
+    Array.init n (fun j ->
+        let range = if Float.is_finite ubs.(j) then ubs.(j) -. lbs.(j) else 6.0 in
+        lbs.(j) +. float_of_int (rnd (int_of_float range + 1)))
+  in
+  let xs =
+    Array.init n (fun j ->
+        Lp.Model.add_var m ~lb:lbs.(j) ~ub:ubs.(j) (Printf.sprintf "x%d" j))
+  in
+  let coef () =
+    let c = float_of_int (rnd 11 - 5) in
+    let c = if c = 0.0 then 1.0 else c in
+    match rnd 12 with 0 | 1 | 2 -> c /. 3.0 | 3 -> c *. 1e-8 | _ -> c
+  in
+  let row () =
+    let terms = ref [] and act = ref 0.0 in
+    for j = n - 1 downto 0 do
+      if rnd 10 < 3 then begin
+        let c = coef () in
+        terms := (c, xs.(j)) :: !terms;
+        act := !act +. (c *. x0.(j))
+      end
+    done;
+    if !terms = [] then begin
+      let j = rnd n in
+      terms := [ (1.0, xs.(j)) ];
+      act := x0.(j)
+    end;
+    (!terms, !act)
+  in
+  for _ = 1 to 8 + rnd 15 do
+    let terms, act = row () in
+    let slack = float_of_int (rnd 6) in
+    match rnd 10 with
+    | 0 -> Lp.Model.add_eq m terms act
+    | 1 | 2 | 3 -> Lp.Model.add_ge m terms (act -. slack)
+    | _ -> Lp.Model.add_le m terms (act +. slack)
+  done;
+  if rnd 5 = 0 then begin
+    let terms, act = row () in
+    Lp.Model.add_eq m terms act;
+    Lp.Model.add_eq m terms (act +. 0.5)
+  end;
+  Lp.Model.set_objective m
+    (Array.to_list (Array.map (fun x -> (coef (), x)) xs));
+  Lp.Model.to_raw m
+
+let fingerprint (r : Lp.Simplex.result) =
+  Printf.sprintf "%s %d %h" (status_name r.status) r.iterations r.objective
+
+(* [solve_state], then a resolve after each of two bound tightenings,
+   two cuts violated at the current point appended with [add_rows], a
+   resolve, one more tightening and a last resolve. *)
+let pinned_chain seed =
+  let raw = pinned_lp seed in
+  let r0, st = Lp.Simplex.solve_state raw in
+  let lb = Array.copy raw.Lp.Model.lb and ub = Array.copy raw.Lp.Model.ub in
+  let steps = ref [ fingerprint r0 ] in
+  let resolve () =
+    let r = Lp.Simplex.resolve ~lb ~ub st in
+    steps := fingerprint r :: !steps;
+    r
+  in
+  let x = r0.Lp.Simplex.x in
+  ub.(0) <- Float.max lb.(0) (Float.floor x.(0));
+  ignore (resolve ());
+  lb.(1) <- Float.min ub.(1) (Float.ceil x.(1) +. 1.0);
+  let r = resolve () in
+  let x = r.Lp.Simplex.x in
+  let cut_cols = [| 2; 3; 4; 5 |] in
+  let terms = Array.map (fun j -> (j, 1.0)) cut_cols in
+  let act = Array.fold_left (fun acc j -> acc +. x.(j)) 0.0 cut_cols in
+  let terms2 = [| (0, 1.0); (6, -1.0); (7, 2.0) |] in
+  let act2 = x.(0) -. x.(6) +. (2.0 *. x.(7)) in
+  Lp.Simplex.add_rows st
+    [| (terms, Float.floor act -. 1.0); (terms2, Float.floor act2 -. 0.5) |];
+  ignore (resolve ());
+  ub.(2) <- Float.max lb.(2) (ub.(2) -. 1.0);
+  ignore (resolve ());
+  List.rev !steps
+
+(* The exact outcome of [Simplex.solve] per seed: status, pivot count and
+   the objective's bits. A change to pricing, the ratio test, tolerances
+   or the floating-point order of a row operation moves one of them. *)
+let pinned_solves =
+  [
+    (1, "optimal 57 -0x1.893856645f49ap+30");
+    (2, "infeasible 22 0x1.1a5a6efb3e644p+5");
+    (3, "optimal 23 -0x1.34d78d04b6379p+5");
+    (4, "optimal 36 -0x1.7f226057491f4p+6");
+    (5, "optimal 42 -0x1.8b24140dd581ep+6");
+    (6, "optimal 19 -0x1.7f9999be4942fp+6");
+    (7, "optimal 26 0x1.cfba987bdf99dp+5");
+    (8, "infeasible 20 0x1.ce6e71db0bd48p+5");
+    (9, "optimal 38 -0x1.0bfd037f6325bp+6");
+    (10, "optimal 39 -0x1.570746ea63ce6p+7");
+    (11, "optimal 32 -0x1.999c71d9a1f64p+6");
+    (12, "optimal 47 -0x1.8ad63e4a60f84p+6");
+    (13, "infeasible 9 0x1.76ad034c1228bp+4");
+    (14, "infeasible 7 0x1.1409c08cb1ca1p+6");
+    (15, "optimal 11 -0x1.de2641a898279p+5");
+    (16, "optimal 27 -0x1.f1d05480fe33dp+2");
+    (17, "optimal 22 -0x1.673bc6ac424bap+7");
+    (18, "optimal 16 -0x1.b1f49f44963b9p+5");
+    (19, "optimal 28 -0x1.7d80000000003p+5");
+    (20, "optimal 20 -0x1.9ffffff3cefdap+5");
+    (21, "optimal 23 -0x1.7c132c45e3015p+6");
+    (22, "optimal 10 -0x1.b1c71c71c71c8p+2");
+    (23, "optimal 15 -0x1.5000008637bd3p+2");
+    (24, "optimal 24 -0x1.2919b85d0ef46p+0");
+  ]
+
+let test_pinned_solves () =
+  List.iter
+    (fun (seed, expect) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        expect
+        (fingerprint (Lp.Simplex.solve (pinned_lp seed))))
+    pinned_solves
+
+(* Warm restarts, dual repairs and an [add_rows] reduction, step by step. *)
+let pinned_chains =
+  [
+    ( 5,
+      [
+        "optimal 42 -0x1.8b24140dd581ep+6";
+        "optimal 2 -0x1.8afe914c526c7p+6";
+        "optimal 0 -0x1.8afe914c526c8p+6";
+        "optimal 3 -0x1.88abfbb7aca62p+6";
+        "optimal 3 -0x1.859f342b6f522p+6";
+      ] );
+    ( 12,
+      [
+        "optimal 47 -0x1.8ad63e4a60f84p+6";
+        "optimal 0 -0x1.8ad63e4a60f82p+6";
+        "optimal 1 -0x1.84c05be81d788p+6";
+        "optimal 4 -0x1.68d04778238c5p+6";
+        "optimal 1 -0x1.60713eb0f6d65p+6";
+      ] );
+    ( 21,
+      [
+        "optimal 23 -0x1.7c132c45e3015p+6";
+        "optimal 0 -0x1.7c132c45e3017p+6";
+        "optimal 0 -0x1.7c132c45e3017p+6";
+        "infeasible 7 -0x1.ee7a5363cf748p+5";
+        "infeasible 0 -0x1.ee7a5363cf73dp+5";
+      ] );
+  ]
+
+let test_pinned_chains () =
+  List.iter
+    (fun (seed, expect) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "chain %d" seed)
+        expect (pinned_chain seed))
+    pinned_chains
+
+(* SDC on three kernels: one cold LP each, its pivot count and the
+   schedule it floors to. *)
+let pinned_sdc =
+  [
+    ( "GFMUL", 190, 2,
+      [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 0; 1; 0; 1; 1; 1; 0; 1; 0; 1; 1; 0; 2; 2 |] );
+    ( "CLZ", 459, 3,
+      [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 2; 1; 1; 1; 1; 0; 1; 0; 0; 2; 2; 1; 1; 2; 2; 0; 2; 0; 0; 2; 2; 2; 2; 2; 2; 0; 2; 0; 0; 3; 3; 2; 2; 1; 0; 1; 1; 0; 1; 1; 0; 1; 1; 0; 1; 1; 1; 1; 0; 0; 3; 3 |] );
+    ( "XORR", 383, 2,
+      [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 1; 1; 1; 1; 1; 1; 1; 2 |] );
+  ]
+
+let test_pinned_sdc () =
+  List.iter
+    (fun (name, pivots, latency, cycle) ->
+      let e = Benchmarks.Registry.find name in
+      let device = Fpga.Device.make ~t_clk:e.t_clk () in
+      let _, p0 = Sched.Sdc.lp_stats () in
+      match
+        Sched.Sdc.schedule ~device ~delays:Fpga.Delays.default
+          ~resources:e.resources ~ii:1 (e.build ())
+      with
+      | Error err -> Alcotest.failf "%s: %a" name Sched.Heuristic.pp_error err
+      | Ok s ->
+          let _, p1 = Sched.Sdc.lp_stats () in
+          Alcotest.(check int) (name ^ ": pivots") pivots (p1 - p0);
+          Alcotest.(check int) (name ^ ": latency") latency
+            (Sched.Schedule.latency s);
+          Alcotest.(check (array int)) (name ^ ": cycles") cycle
+            s.Sched.Schedule.cycle)
+    pinned_sdc
+
 let qsuite name tests = (name, List.map (fun t -> QCheck_alcotest.to_alcotest t) tests)
 
 let () =
@@ -744,6 +960,12 @@ let () =
           Alcotest.test_case "cut pool" `Quick test_cut_pool;
           Alcotest.test_case "add_rows warm" `Quick test_add_rows_warm;
           Alcotest.test_case "cuts A/B parity" `Quick test_milp_cuts_ab_parity;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "seeded solves" `Quick test_pinned_solves;
+          Alcotest.test_case "warm chains" `Quick test_pinned_chains;
+          Alcotest.test_case "sdc kernels" `Quick test_pinned_sdc;
         ] );
       qsuite "lp-random" [ lp_never_beaten_by_grid ];
       qsuite "milp-random" [ milp_matches_brute_force ];
