@@ -783,7 +783,7 @@ let micro_benchmarks () =
                    Array.iter
                      (fun (c : Cuts.cut) ->
                        ignore
-                         (Bitdep.max_support_width g_rs ~root:c.Cuts.root
+                         (Bitdep.profile g_rs ~root:c.Cuts.root
                             ~cone:c.Cuts.cone))
                      cs)
                  cuts_rs));

@@ -210,20 +210,30 @@ let dep g ~node ~bit =
       opaque all
 
 type bit_support = { bits : Bitpos.Set.t; pure_wire : bool }
+type profile = { max_support : int; lut_bits : int }
 
-(* Shared-memo analysis of every output bit of [root] within [cone]. *)
-let analyze g ~root ~cone =
-  if not (Int_set.mem root cone) then
-    invalid_arg "Bitdep.support: root not in cone";
-  let memo : (int * int, bit_support) Hashtbl.t = Hashtbl.create 64 in
+module Int_tbl = Hashtbl.Make (Int)
+
+let c_support_bits = Obs.Counter.get "cuts.support_bits"
+
+exception Too_wide
+
+(* Memoised closure of [dep] over the bits of [cone], keyed by
+   [bit * num_nodes + node], for the [fn] entry point. [go] raises
+   [Too_wide] as soon as one support it computes has more than [bound]
+   bits. *)
+let walker fn g ~root ~cone ~bound =
+  if not (Int_set.mem root cone) then invalid_arg (fn ^ ": root not in cone");
+  let n = Ir.Cdfg.num_nodes g in
+  let memo : bit_support Int_tbl.t = Int_tbl.create 64 in
   let rec go node bit =
-    match Hashtbl.find_opt memo (node, bit) with
+    let key = (bit * n) + node in
+    match Int_tbl.find_opt memo key with
     | Some r -> r
     | None ->
         (* Seed with an empty result to cut accidental cycles; the dist-0
            subgraph is acyclic so this is never observed on valid input. *)
-        Hashtbl.replace memo (node, bit)
-          { bits = Bitpos.Set.empty; pure_wire = true };
+        Int_tbl.replace memo key { bits = Bitpos.Set.empty; pure_wire = true };
         let step = dep g ~node ~bit in
         let expand (acc_bits, acc_wire) (r : Bitpos.t) =
           if r.dist > 0 || not (Int_set.mem r.node cone) then
@@ -235,22 +245,32 @@ let analyze g ~root ~cone =
         let bits, inner_wire =
           List.fold_left expand (Bitpos.Set.empty, true) step.reads
         in
+        if Bitpos.Set.cardinal bits > bound then raise Too_wide;
         let r = { bits; pure_wire = step.passthrough && inner_wire } in
-        Hashtbl.replace memo (node, bit) r;
+        Int_tbl.replace memo key r;
         r
   in
-  Array.init (Ir.Cdfg.width g root) (fun bit -> go root bit)
+  (memo, go)
 
-let support g ~root ~cone ~bit = (analyze g ~root ~cone).(bit)
+let support g ~root ~cone ~bit =
+  let _, go = walker "Bitdep.support" g ~root ~cone ~bound:max_int in
+  go root bit
 
-let max_support_width g ~root ~cone =
-  Array.fold_left
-    (fun best s -> max best (Bitpos.Set.cardinal s.bits))
-    0 (analyze g ~root ~cone)
-
-let lut_bits g ~root ~cone =
-  Array.fold_left
-    (fun acc s ->
+(* Every memo entry is reached from some output bit of [root], and a
+   bit's support contains the support of every in-cone bit it reads: one
+   entry wider than [bound] already proves [max_support > bound]. *)
+let profile ?(bound = max_int) g ~root ~cone =
+  let memo, go = walker "Bitdep.profile" g ~root ~cone ~bound in
+  let width = Ir.Cdfg.width g root in
+  let rec over bit max_support lut_bits =
+    if bit = width then Some { max_support; lut_bits }
+    else
+      let s = go root bit in
       let n = Bitpos.Set.cardinal s.bits in
-      if n >= 2 || (n = 1 && not s.pure_wire) then acc + 1 else acc)
-    0 (analyze g ~root ~cone)
+      over (bit + 1) (max max_support n)
+        (if n >= 2 || (n = 1 && not s.pure_wire) then lut_bits + 1
+         else lut_bits)
+  in
+  let r = try over 0 0 0 with Too_wide -> None in
+  Obs.Counter.incr ~by:(Int_tbl.length memo) c_support_bits;
+  r

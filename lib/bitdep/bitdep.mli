@@ -12,7 +12,10 @@
 
     [support] closes [dep] transitively inside a cone, yielding the exact
     set of {e boundary bits} a K-LUT implementing that cone's bit would
-    need — the feasibility measure for word-level cuts. *)
+    need — the feasibility measure for word-level cuts. [profile] runs
+    that closure once over all of a root's output bits, sharing one memo,
+    and stops at the first support wider than a bound: the single walk
+    [Cuts] makes per candidate cone. *)
 
 module Bitpos : sig
   type t = {
@@ -58,11 +61,25 @@ val support :
     ([dist > 0]) reads always stop, even if the producer is in the cone.
     [cone] must contain [root]. *)
 
-val max_support_width : Ir.Cdfg.t -> root:int -> cone:Int_set.t -> int
-(** Max over the root's output bits of the boundary-bit support size — a
-    cone is K-feasible iff this is [<= K]. *)
+type profile = {
+  max_support : int;
+      (** max over the root's output bits of the support size — a cone is
+          K-feasible iff this is [<= K] *)
+  lut_bits : int;
+      (** output bits that actually need a LUT: bits with two or more
+          support bits, or a single support bit reached through non-wiring
+          logic; constant and pass-through bits are free *)
+}
 
-val lut_bits : Ir.Cdfg.t -> root:int -> cone:Int_set.t -> int
-(** Number of output bits that actually need a LUT: bits with two or more
-    support bits, or a single support bit reached through non-wiring
-    logic. Constant and pass-through bits are free. *)
+val profile :
+  ?bound:int -> Ir.Cdfg.t -> root:int -> cone:Int_set.t -> profile option
+(** One memoised walk of [support] over every output bit of [root] inside
+    [cone]. Returns [None] as soon as any [(node, bit)] support it computes
+    has more than [bound] bits. That is exact: every such entry is read,
+    through the cone, by some output bit of [root], whose support contains
+    it, so [None] iff [max_support > bound]. Without [bound] the result is
+    always [Some].
+
+    Adds the number of [(node, bit)] supports computed to the counter
+    [cuts.support_bits], once per call.
+    @raise Invalid_argument if [root] is not in [cone]. *)

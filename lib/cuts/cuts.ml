@@ -44,19 +44,22 @@ let absorbable g id =
 
 let ceil_div a b = (a + b - 1) / b
 
-let area ~k g ~root ~cone =
+(* [area] of a cone whose profile is already known. *)
+let area_of ~k g ~root ~cone (prof : Bitdep.profile) =
   if Int_set.cardinal cone = 1 then
     match Ir.Cdfg.op g root with
     | Ir.Op.Input _ | Ir.Op.Const _ | Ir.Op.Shl _ | Ir.Op.Shr _
     | Ir.Op.Slice _ | Ir.Op.Concat | Ir.Op.Black_box _ ->
         0
-    | Ir.Op.Not | Ir.Op.Bitwise _ | Ir.Op.Mux ->
-        Bitdep.lut_bits g ~root ~cone
+    | Ir.Op.Not | Ir.Op.Bitwise _ | Ir.Op.Mux -> prof.lut_bits
     | Ir.Op.Add | Ir.Op.Sub -> Ir.Cdfg.width g root
     | Ir.Op.Cmp _ ->
         let w_in = Ir.Cdfg.width g (Ir.Cdfg.preds g root).(0).Ir.Cdfg.src in
         max 1 (ceil_div ((2 * w_in) - 1) (k - 1))
-  else Bitdep.lut_bits g ~root ~cone
+  else prof.lut_bits
+
+let area ~k g ~root ~cone =
+  area_of ~k g ~root ~cone (Option.get (Bitdep.profile g ~root ~cone))
 
 (* Canonical cone of a leaf set: nodes reachable backward from [root] along
    dist-0 edges, stopping at leaves. Returns None when a non-absorbable
@@ -94,12 +97,13 @@ let trivial_cut ~k g v =
     |> List.sort_uniq Int.compare
   in
   let cone = Int_set.singleton v in
+  let prof = Option.get (Bitdep.profile g ~root:v ~cone) in
   {
     root = v;
     leaves;
     cone;
-    support = Bitdep.max_support_width g ~root:v ~cone;
-    area = area ~k g ~root:v ~cone;
+    support = prof.max_support;
+    area = area_of ~k g ~root:v ~cone prof;
   }
 
 let trivial_only g =
@@ -119,19 +123,17 @@ let rank a b =
 (* Cartesian product of per-operand choice lists, capped. Each choice is a
    leaf set (as a sorted int list). *)
 let merged_leaf_sets ~cap choices =
-  let push acc leaves =
-    if List.length acc >= cap then acc else leaves :: acc
-  in
-  let rec go acc partial = function
-    | [] -> push acc partial
+  (* [(acc, len)]: the leaf sets collected so far and how many. *)
+  let rec go ((acc, len) as st) partial = function
+    | [] -> if len >= cap then st else (partial :: acc, len + 1)
     | opts :: rest ->
         List.fold_left
-          (fun acc leaves ->
-            if List.length acc >= cap then acc
-            else go acc (List.rev_append leaves partial) rest)
-          acc opts
+          (fun ((_, len) as st) leaves ->
+            if len >= cap then st
+            else go st (List.rev_append leaves partial) rest)
+          st opts
   in
-  go [] [] choices
+  fst (go ([], 0) [] choices)
   |> List.map (List.sort_uniq Int.compare)
   |> List.sort_uniq compare
 
@@ -143,18 +145,18 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   let forced_timeout = Resilience.Fault.fires "cuts.timeout" in
   let p = match params with Some p -> p | None -> default_params ~k in
   let n = Ir.Cdfg.num_nodes g in
+  (* Each node's trivial cut, profiled once; every merge of it reuses it. *)
+  let trivial = Array.init n (trivial_cut ~k:p.k g) in
   (* Building blocks: for each node, the leaf sets successors may choose
      from — the singleton {v} plus v's own enumerated (non-trivial) cuts. *)
-  let blocks : int list list array = Array.make n [] in
-  let result : cut list array = Array.make n [] in
-  for v = 0 to n - 1 do
-    let triv = trivial_cut ~k:p.k g v in
-    result.(v) <- [ triv ];
-    blocks.(v) <-
-      (if absorbable g v then
-         List.sort_uniq compare [ [ v ]; triv.leaves ]
-       else [ [ v ] ])
-  done;
+  let blocks =
+    Array.mapi
+      (fun v triv ->
+        if absorbable g v then List.sort_uniq compare [ [ v ]; triv.leaves ]
+        else [ [ v ] ])
+      trivial
+  in
+  let result = Array.map (fun triv -> [ triv ]) trivial in
   let mk_cut v leaves =
     if List.mem v leaves then None
       (* the root reached itself through a recurrence: not a cone *)
@@ -164,28 +166,26 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
     | Some (cone, leaves) ->
         if Int_set.cardinal cone = 1 then None (* that's the trivial cut *)
         else
-          let support = Bitdep.max_support_width g ~root:v ~cone in
-          if support > p.k then begin
-            Obs.Counter.incr c_infeasible;
-            None
-          end
-          else begin
-            Obs.Counter.incr c_enumerated;
-            Some
-              {
-                root = v;
-                leaves;
-                cone;
-                support;
-                area = area ~k:p.k g ~root:v ~cone;
-              }
-          end
+          match Bitdep.profile ~bound:p.k g ~root:v ~cone with
+          | None ->
+              Obs.Counter.incr c_infeasible;
+              None
+          | Some prof ->
+              Obs.Counter.incr c_enumerated;
+              Some
+                {
+                  root = v;
+                  leaves;
+                  cone;
+                  support = prof.max_support;
+                  area = area_of ~k:p.k g ~root:v ~cone prof;
+                }
   in
   let merge v =
-    if not (absorbable g v) then [ trivial_cut ~k:p.k g v ]
+    if not (absorbable g v) then [ trivial.(v) ]
     else
       let preds = Ir.Cdfg.preds g v in
-      if Array.length preds = 0 then [ trivial_cut ~k:p.k g v ]
+      if Array.length preds = 0 then [ trivial.(v) ]
       else
         let choices =
           Array.to_list preds
@@ -205,7 +205,7 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
         let ranked = List.sort rank cuts in
         let kept = List.filteri (fun i _ -> i < p.max_cuts) ranked in
         Obs.Counter.incr ~by:(List.length ranked - List.length kept) c_pruned;
-        trivial_cut ~k:p.k g v :: kept
+        trivial.(v) :: kept
   in
   (* Algorithm 1: worklist over nodes in topological order; re-enqueue
      successors whenever a node's cut set changes. On our graphs (dist-0

@@ -7,7 +7,11 @@
 
     Deviations from bit-level enumeration, per DESIGN.md:
     - feasibility is per output bit: the cone is K-feasible iff every output
-      bit's boundary-bit support (from {!Bitdep.support}) has at most K bits;
+      bit's boundary-bit support (from {!Bitdep.support}) has at most K bits.
+      Each candidate cone gets one {!Bitdep.profile} walk bounded by K,
+      which yields both its support and its LUT bits and stops at the first
+      support wider than K; each node's trivial cut is profiled once per
+      enumeration;
     - cones never cross loop-carried ([dist > 0]) edges — LUTs are
       combinational, so registered operands are always boundaries;
     - black-box, input and constant nodes are never cone members;
@@ -57,7 +61,15 @@ val enumerate :
     number of non-trivial alternatives offered downstream.
 
     Fault points ({!Resilience.Fault}): [cuts.raise] raises [Failure] at
-    entry; [cuts.timeout] forces immediate truncation. *)
+    entry; [cuts.timeout] forces immediate truncation.
+
+    Counters ({!Obs.Counter}): [cuts.candidates] (merged leaf sets
+    generated), [cuts.enumerated] / [cuts.infeasible] (candidate cones
+    that passed / failed the K bound), [cuts.pruned] (feasible cuts
+    dropped by [max_cuts]), [cuts.node_merges] (worklist pops),
+    [cuts.deadline_truncations], and the work counter [cuts.support_bits]:
+    the [(node, bit)] supports {!Bitdep.profile} computes, for candidate
+    and trivial cuts alike (so {!trivial_only} adds to it too). *)
 
 val trivial_only : Ir.Cdfg.t -> t
 (** The cut sets used by MILP-base: every node keeps only its trivial cut
@@ -67,10 +79,10 @@ val is_trivial : cut -> bool
 (** The cone contains only the root. *)
 
 val area : k:int -> Ir.Cdfg.t -> root:int -> cone:Bitdep.Int_set.t -> int
-(** LUT cost of a cone: per-bit LUT count for logic cones
-    ({!Bitdep.lut_bits}), carry-chain width for single-node arithmetic,
-    a compressor-tree estimate for single-node comparisons, 0 for wires
-    and black boxes. *)
+(** LUT cost of a cone: per-bit LUT count for logic cones (the
+    [lut_bits] of {!Bitdep.profile}), carry-chain width for single-node
+    arithmetic, a compressor-tree estimate for single-node comparisons, 0
+    for wires and black boxes. *)
 
 val delay :
   device:Fpga.Device.t -> delays:Fpga.Delays.t -> Ir.Cdfg.t -> cut -> float

@@ -176,9 +176,10 @@ let test_max_support_and_lut_bits () =
   let u = Ir.Builder.xor_ b t sh in
   let g = finish1 b u in
   let cone = mk_cone [ 1; 2 ] in
-  Alcotest.(check int) "max support" 2 (Bitdep.max_support_width g ~root:2 ~cone);
+  let p = Option.get (Bitdep.profile g ~root:2 ~cone) in
+  Alcotest.(check int) "max support" 2 p.Bitdep.max_support;
   (* bits 0..2 need LUTs; bit 3 = t[3] xor 0 passes through *)
-  Alcotest.(check int) "lut bits" 3 (Bitdep.lut_bits g ~root:2 ~cone)
+  Alcotest.(check int) "lut bits" 3 p.Bitdep.lut_bits
 
 let test_wire_cone_is_free () =
   let b = Ir.Builder.create () in
@@ -188,7 +189,7 @@ let test_wire_cone_is_free () =
   let g = finish1 b sh in
   let cone = mk_cone [ 1; 2 ] in
   Alcotest.(check int) "pure wiring costs nothing" 0
-    (Bitdep.lut_bits g ~root:2 ~cone)
+    (Option.get (Bitdep.profile g ~root:2 ~cone)).Bitdep.lut_bits
 
 (* Random graphs: support of the trivial cone equals the one-step reads
    (modulo constants), and support is monotone in the cone. *)
@@ -217,6 +218,45 @@ let support_monotone_in_cone =
         (fun r -> r.Bp.node = 0 || r.Bp.node = 1)
         s_big.Bitdep.bits
       && Bp.Set.cardinal s_small.Bitdep.bits <= 2)
+
+(* Every cut the enumerator offers at K = 12 on the registry kernels, under
+   every bound 1..12: [profile ~bound] is [None] exactly when the widest
+   per-bit support exceeds the bound, and otherwise equals a reference
+   built bit by bit from [support]. *)
+let test_bounded_profile () =
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      let g = e.build () in
+      Array.iter
+        (Array.iter (fun (c : Cuts.cut) ->
+             let root = c.root and cone = c.cone in
+             let sups =
+               List.init (Ir.Cdfg.width g root) (fun bit ->
+                   Bitdep.support g ~root ~cone ~bit)
+             in
+             let card (s : Bitdep.bit_support) = Bp.Set.cardinal s.bits in
+             let max_support =
+               List.fold_left (fun m s -> max m (card s)) 0 sups
+             in
+             let lut_bits =
+               List.length
+                 (List.filter
+                    (fun (s : Bitdep.bit_support) ->
+                      card s >= 2 || (card s = 1 && not s.pure_wire))
+                    sups)
+             in
+             let want = Bitdep.{ max_support; lut_bits } in
+             for bound = 1 to 12 do
+               let got = Bitdep.profile ~bound g ~root ~cone in
+               let ok =
+                 if max_support > bound then got = None else got = Some want
+               in
+               if not ok then
+                 Alcotest.failf "%s root %d bound %d: max support %d" e.name
+                   root bound max_support
+             done))
+        (Cuts.enumerate ~k:12 g))
+    Benchmarks.Registry.all
 
 let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 
@@ -248,6 +288,7 @@ let () =
           Alcotest.test_case "max support / lut bits" `Quick
             test_max_support_and_lut_bits;
           Alcotest.test_case "wire cone free" `Quick test_wire_cone_is_free;
+          Alcotest.test_case "bounded profile" `Quick test_bounded_profile;
         ] );
       ("random", qsuite [ support_monotone_in_cone ]);
     ]

@@ -1,8 +1,9 @@
-(* The CLI's help pages render cleanly: `pipesyn --help=plain` and
-   `pipesyn CMD --help=plain` for every subcommand exit 0 and write
-   nothing to stderr. Cmdliner reports malformed doc markup (an illegal
-   escape, an unbalanced $(...)) on stderr while still printing the
-   page, so a broken doc string is otherwise invisible. *)
+(* The CLI end to end. The help pages render cleanly: `pipesyn
+   --help=plain` and `pipesyn CMD --help=plain` for every subcommand exit
+   0 and write nothing to stderr. Cmdliner reports malformed doc markup
+   (an illegal escape, an unbalanced $(...)) on stderr while still
+   printing the page, so a broken doc string is otherwise invisible. And
+   `pipesyn lint --all --json` reports the registry error-free. *)
 
 let exe = Filename.concat Filename.parent_dir_name "bin/pipesyn.exe"
 
@@ -64,6 +65,39 @@ let test_help_clean () =
   check_clean [ "--help=plain" ];
   List.iter (fun c -> check_clean [ c; "--help=plain" ]) cmds
 
+(* The registry is lint-clean: `pipesyn lint --all --json` writes a
+   schema-9 report that lists every benchmark with no error-severity
+   diagnostic. *)
+let test_lint_all_clean () =
+  let path = Filename.temp_file "pipesyn_lint" ".json" in
+  let code, _, _ = run [ "lint"; "--all"; "--json"; path ] in
+  let text = read_file path in
+  Sys.remove path;
+  Alcotest.(check int) "lint exit code" 0 code;
+  let doc =
+    match Obs.Json.of_string text with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "diagnostics JSON: %s" msg
+  in
+  Alcotest.(check bool) "schema_version = 9" true
+    (Obs.Json.member "schema_version" doc = Some (Obs.Json.Int 9));
+  let benches =
+    match Obs.Json.member "benchmarks" doc with
+    | Some (Obs.Json.List l) -> l
+    | _ -> []
+  in
+  Alcotest.(check bool) "benchmarks linted" true (benches <> []);
+  List.iter
+    (fun b ->
+      let name =
+        match Obs.Json.member "name" b with
+        | Some (Obs.Json.String s) -> s
+        | _ -> "?"
+      in
+      Alcotest.(check bool) (name ^ ": errors = 0") true
+        (Obs.Json.member "errors" b = Some (Obs.Json.Int 0)))
+    benches
+
 let () =
   Alcotest.run "cli"
     [
@@ -71,5 +105,10 @@ let () =
         [
           Alcotest.test_case "--help=plain is clean for every subcommand"
             `Quick test_help_clean;
+        ] );
+      ( "lint",
+        [
+          Alcotest.test_case "--all --json is error-free" `Quick
+            test_lint_all_clean;
         ] );
     ]

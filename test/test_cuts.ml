@@ -215,6 +215,206 @@ let cut_invariants =
                cs)
         cuts)
 
+(* --- pinned cut sets --------------------------------------------------- *)
+
+(* The full cut sets at device K, pinned field by field: a digest of each
+   field's sequence over every node and cut in order, so a change in any
+   root, leaf list, cone, support, area or cut order shows up by field.
+   The counters are the five [cuts.*] deltas of one enumeration:
+   candidates, enumerated, infeasible, pruned, node_merges. *)
+type pin = {
+  cuts : int;
+  leaves : string;
+  cones : string;
+  supports : string;
+  areas : string;
+  counters : int list;
+}
+
+let pin_counters =
+  List.map Obs.Counter.get
+    [
+      "cuts.candidates";
+      "cuts.enumerated";
+      "cuts.infeasible";
+      "cuts.pruned";
+      "cuts.node_merges";
+    ]
+
+let field_digest (cuts : Cuts.t) f =
+  let b = Buffer.create 4096 in
+  Array.iteri
+    (fun v cs ->
+      Array.iteri
+        (fun i c -> Printf.bprintf b "%d.%d:%s;" v i (f c))
+        cs)
+    cuts;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+let pin_of g =
+  let before = List.map Obs.Counter.value pin_counters in
+  let cuts = Cuts.enumerate ~k:Fpga.Device.default.Fpga.Device.k g in
+  let after = List.map Obs.Counter.value pin_counters in
+  {
+    cuts = Cuts.total_cuts cuts;
+    leaves =
+      field_digest cuts (fun (c : Cuts.cut) ->
+          Printf.sprintf "%d<-%s" c.root (ints c.leaves));
+    cones =
+      field_digest cuts (fun (c : Cuts.cut) ->
+          ints (Bitdep.Int_set.elements c.cone));
+    supports =
+      field_digest cuts (fun (c : Cuts.cut) -> string_of_int c.support);
+    areas = field_digest cuts (fun (c : Cuts.cut) -> string_of_int c.area);
+    counters = List.map2 ( - ) after before;
+  }
+
+let pinned_graphs =
+  List.map
+    (fun (e : Benchmarks.Registry.entry) -> (e.name, e.build))
+    Benchmarks.Registry.all
+  @ [
+      ( "XORR 24x16 mix 3, simplified",
+        fun () ->
+          fst
+            (Opt.simplify
+               (Benchmarks.Xorr.build ~elements:24 ~width:16 ~mix_depth:3 ()))
+      );
+      ( "CORDIC 16x8",
+        fun () -> Benchmarks.Cordic.build ~width:16 ~iterations:8 () );
+      ("GFMUL 8", fun () -> Benchmarks.Gfmul.build ~width:8 ());
+    ]
+
+(* Captured from the enumeration before the bounded walk replaced the
+   two-pass support and LUT-bit analysis. *)
+let pinned =
+  [
+    ( "CLZ",
+      {
+        cuts = 253;
+        leaves = "0f19cbbc6e678a714410c63449aa170e";
+        cones = "bb7e0156a957a434ff57829644ec40dd";
+        supports = "3aef96cd38e37363adedc8e099be84df";
+        areas = "e42c97bfae1dbf38cf70913e771d6365";
+        counters = [ 1158; 523; 464; 288; 63 ];
+      } );
+    ( "XORR",
+      {
+        cuts = 397;
+        leaves = "fd9fb313b592b3814870f8270fdec57d";
+        cones = "736ee2c8183aa3b35872911e894a1dd7";
+        supports = "a3be819588d0c3c01910ed235e0bb0e7";
+        areas = "a0cc662a4aa28c0d7f52a012bc76bacf";
+        counters = [ 1512; 899; 468; 485; 79 ];
+      } );
+    ( "GFMUL",
+      {
+        cuts = 195;
+        leaves = "c6ccc5ed35c355ab3a9fbf37602d4c97";
+        cones = "7777f24516912a8898899b75ec9f1a0e";
+        supports = "6a1925b5c5b978037bd7446b0603b7ec";
+        areas = "5924391638c594a06935b52545d053af";
+        counters = [ 893; 653; 206; 323; 33 ];
+      } );
+    ( "CORDIC",
+      {
+        cuts = 85;
+        leaves = "02e23825e66102073fa319efb394d518";
+        cones = "461e3527400fabaf67e57ebdddc2a0f6";
+        supports = "06a5fae907a3e756e2d180fa44db5e62";
+        areas = "db0e46417d669e0fbeaccdf739924cd8";
+        counters = [ 378; 30; 300; 0; 55 ];
+      } );
+    ( "MT",
+      {
+        cuts = 172;
+        leaves = "cf786c6d8791b30e740093725d666064";
+        cones = "dbd6b16cafbda2cb96de26112eba4786";
+        supports = "830dc5a3af4a1c0e8fef4d3278007e2c";
+        areas = "5fbacd6eb6bec6fbd6761e7c94c0a438";
+        counters = [ 623; 477; 54; 160; 24 ];
+      } );
+    ( "AES",
+      {
+        cuts = 264;
+        leaves = "09b3421c2b6c6fad419c952c2b494af2";
+        cones = "4c254f5c99868f50df73e3af398bf75f";
+        supports = "9e74e22fcf87e67b9e33bd4b423fa7c4";
+        areas = "0f890242b10f4842e889ce1c28cbdb23";
+        counters = [ 878; 310; 420; 94; 56 ];
+      } );
+    ( "RS",
+      {
+        cuts = 235;
+        leaves = "acb4b36ebf4fae6132cfb2502356fb04";
+        cones = "46a1f3fcc3c5032ebee32685af9038cb";
+        supports = "e00fd6d1861bd9932493b598c06b359c";
+        areas = "a407f4f7d80051b93967115d2d909da4";
+        counters = [ 1138; 828; 154; 194; 33 ];
+      } );
+    ( "DR",
+      {
+        cuts = 89;
+        leaves = "3481b1826a251a4b49d4af69b948e126";
+        cones = "5bfac52b9f9f9d33b30228e637e25329";
+        supports = "c763e41658e32ed1f5f8ee1914a43ddb";
+        areas = "55e2baf6e2a2db71cf0c3b01da2ddacd";
+        counters = [ 204; 49; 126; 0; 40 ];
+      } );
+    ( "GSM",
+      {
+        cuts = 116;
+        leaves = "4c4dfb2e54ca40459322bce554134ef2";
+        cones = "11e9e66d78d2e24788d63970477b02e6";
+        supports = "ebd4ef4c7ff07ec893e6a00d7847f6fd";
+        areas = "52c025f26b0895bb3306db9748915e09";
+        counters = [ 278; 90; 165; 0; 34 ];
+      } );
+    ( "XORR 24x16 mix 3, simplified",
+      {
+        cuts = 1184;
+        leaves = "8219d87dc27e81b4c8d31a01c3d832bb";
+        cones = "273df93d3d50de1f7ddf99d5eb7603d7";
+        supports = "8ce0266cd8d2554c6d5bedd65ddaee46";
+        areas = "29087f9b2b0600252f0405a2b91ea40a";
+        counters = [ 4056; 2153; 1454; 897; 216 ];
+      } );
+    ( "CORDIC 16x8",
+      {
+        cuts = 173;
+        leaves = "6cb94ea485e757a0bdfeef042538c0bc";
+        cones = "215107913ae577adeb18fa60e1487748";
+        supports = "adf148f8af48ecaa68fbe3bba288c448";
+        areas = "362e539b8d3b495750102045babaa42c";
+        counters = [ 830; 66; 668; 0; 107 ];
+      } );
+    ( "GFMUL 8",
+      {
+        cuts = 471;
+        leaves = "0ee26b6fe907ea7d4007b01f058b7dce";
+        cones = "a6354abd895d262fb533ec09d7f566de";
+        supports = "b3c1c31b31d24b31f524bc33ba2a6fae";
+        areas = "a31803fa69b768dc5b1a899995fddc10";
+        counters = [ 2445; 1693; 674; 747; 69 ];
+      } );
+  ]
+
+let test_pinned (name, build) () =
+  let got = pin_of (build ()) in
+  let want = List.assoc name pinned in
+  let check field = Alcotest.(check string) (name ^ " " ^ field) in
+  Alcotest.(check int) (name ^ " cut count") want.cuts got.cuts;
+  check "roots and leaves" want.leaves got.leaves;
+  check "cones" want.cones got.cones;
+  check "supports" want.supports got.supports;
+  check "areas" want.areas got.areas;
+  List.iter2
+    (fun c (w, g) -> Alcotest.(check int) (name ^ " " ^ Obs.Counter.name c) w g)
+    pin_counters
+    (List.combine want.counters got.counters)
+
 let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 
 let () =
@@ -240,4 +440,9 @@ let () =
           Alcotest.test_case "delay classes" `Quick test_delay_classes;
         ] );
       ("invariants", qsuite [ cut_invariants ]);
+      ( "pinned",
+        List.map
+          (fun ((name, _) as g) ->
+            Alcotest.test_case name `Quick (test_pinned g))
+          pinned_graphs );
     ]
