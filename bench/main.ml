@@ -776,14 +776,17 @@ let micro_benchmarks () =
                    time_limit = 10.0 }
                in
                ignore (Mams.Flow.run setup Mams.Flow.Milp_map g)));
+        (* One walker across the RS cuts, bounded by the K they were
+           enumerated at, as [Cuts.enumerate] does. *)
         Test.make ~name:"fig2/bitdep-support-rs"
           (Staged.stage (fun () ->
+               let w = Bitdep.walker g_rs in
                Array.iter
                  (fun cs ->
                    Array.iter
                      (fun (c : Cuts.cut) ->
                        ignore
-                         (Bitdep.profile g_rs ~root:c.Cuts.root
+                         (Bitdep.walk ~bound:4 w ~root:c.Cuts.root
                             ~cone:c.Cuts.cone))
                      cs)
                  cuts_rs));

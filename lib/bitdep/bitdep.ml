@@ -133,12 +133,15 @@ let flip_cmp (c : Ir.Op.cmp) : Ir.Op.cmp =
   | Ir.Op.Gt -> Ir.Op.Lt
   | Ir.Op.Ge -> Ir.Op.Le
 
-let dep g ~node ~bit =
-  let nd = Ir.Cdfg.node g node in
-  if bit < 0 || bit >= nd.width then
+let check_bit ~node ~width bit =
+  if bit < 0 || bit >= width then
     invalid_arg
       (Printf.sprintf "Bitdep.dep: bit %d out of width %d of node %d" bit
-         nd.width node);
+         width node)
+
+let dep g ~node ~bit =
+  let nd = Ir.Cdfg.node g node in
+  check_bit ~node ~width:nd.width bit;
   let p i = nd.preds.(i) in
   match nd.op with
   | Ir.Op.Input _ | Ir.Op.Const _ -> no_deps
@@ -212,65 +215,251 @@ let dep g ~node ~bit =
 type bit_support = { bits : Bitpos.Set.t; pure_wire : bool }
 type profile = { max_support : int; lut_bits : int }
 
-module Int_tbl = Hashtbl.Make (Int)
-
 let c_support_bits = Obs.Counter.get "cuts.support_bits"
+
+(* Bit [b] of node [v] has the flat index [base.(v) + b], and a read of it
+   at loop-carried distance [d] the code [d * total + base.(v) + b]; a
+   support is a sorted run of codes. Two pools hold per-bit records, each
+   a header [2 * length + flag] followed by that many codes: [deps] the
+   one-step reads of [dep] (flag: pass-through), filled on a bit's first
+   use and kept for the walker's life; [sups] the supports of the current
+   walk (flag: pure wire), refilled by every walk. A memo or cone entry is
+   live only while its stamp equals the walk's generation [gen], so a walk
+   clears nothing. *)
+type walker = {
+  g : Ir.Cdfg.t;
+  total : int;  (* bits in the graph *)
+  base : int array;  (* per node, then [total] *)
+  owner : int array;  (* per flat index: its node *)
+  dep_at : int array;  (* per flat index: its [deps] record, or -1 *)
+  mutable deps : int array;
+  mutable deps_len : int;
+  in_cone : int array;  (* per node: the generation that put it in the cone *)
+  memo_gen : int array;  (* per flat index: the generation of [memo_at] *)
+  memo_at : int array;  (* per flat index: its [sups] record *)
+  mutable sups : int array;  (* [sups.(0)] is the empty pure support *)
+  mutable sups_len : int;
+  mutable acc : int array;  (* buffers for partial unions *)
+  mutable spare : int array;
+  mutable gen : int;
+  mutable entries : int;  (* memo entries of the current walk *)
+}
+
+let walker g =
+  let n = Ir.Cdfg.num_nodes g in
+  let base = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    base.(v + 1) <- base.(v) + Ir.Cdfg.width g v
+  done;
+  let total = base.(n) in
+  let owner = Array.make total 0 in
+  for v = 0 to n - 1 do
+    Array.fill owner base.(v) (base.(v + 1) - base.(v)) v
+  done;
+  {
+    g;
+    total;
+    base;
+    owner;
+    dep_at = Array.make total (-1);
+    deps = Array.make 256 0;
+    deps_len = 0;
+    in_cone = Array.make n 0;
+    memo_gen = Array.make total 0;
+    memo_at = Array.make total 0;
+    sups = Array.make 256 1;
+    sups_len = 1;
+    acc = Array.make 64 0;
+    spare = Array.make 64 0;
+    gen = 0;
+    entries = 0;
+  }
+
+(* [a] with room for at least [need] cells. *)
+let ensure a need =
+  if need <= Array.length a then a
+  else
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+(* The [deps] record of flat index [i], computing it on first use. *)
+let dep_of w i =
+  let at = w.dep_at.(i) in
+  if at >= 0 then at
+  else
+    let node = w.owner.(i) in
+    let { reads; passthrough } = dep w.g ~node ~bit:(i - w.base.(node)) in
+    let m = List.length reads in
+    let at = w.deps_len in
+    w.deps <- ensure w.deps (at + 1 + m);
+    w.deps.(at) <- (2 * m) + Bool.to_int passthrough;
+    List.iteri
+      (fun j (r : Bitpos.t) ->
+        w.deps.(at + 1 + j) <- (r.dist * w.total) + w.base.(r.node) + r.bit)
+      reads;
+    w.deps_len <- at + 1 + m;
+    w.dep_at.(i) <- at;
+    at
+
+(* [a.(ao .. ao + al - 1)] union [b.(bo .. bo + bl - 1)], both sorted,
+   written from [out.(o)] on; returns the union's length. *)
+let union a ao al b bo bl out o =
+  let i = ref ao and j = ref bo and k = ref o in
+  let ai = ao + al and bj = bo + bl in
+  while !i < ai && !j < bj do
+    let x = a.(!i) and y = b.(!j) in
+    if x <= y then begin
+      out.(!k) <- x;
+      incr i;
+      if x = y then incr j
+    end
+    else begin
+      out.(!k) <- y;
+      incr j
+    end;
+    incr k
+  done;
+  while !i < ai do
+    out.(!k) <- a.(!i);
+    incr i;
+    incr k
+  done;
+  while !j < bj do
+    out.(!k) <- b.(!j);
+    incr j;
+    incr k
+  done;
+  !k - o
+
+(* Is code [c] a dist-0 read of a bit in the current cone? *)
+let expands w c = c < w.total && w.in_cone.(w.owner.(c)) = w.gen
 
 exception Too_wide
 
-(* Memoised closure of [dep] over the bits of [cone], keyed by
-   [bit * num_nodes + node], for the [fn] entry point. [go] raises
-   [Too_wide] as soon as one support it computes has more than [bound]
-   bits. *)
-let walker fn g ~root ~cone ~bound =
+(* The [sups] record of flat index [i] in the current walk: the closure of
+   [dep] through the cone. First every in-cone read's own support, in read
+   order; then their union with the boundary reads, which raises
+   [Too_wide] if it has more than [bound] codes. A single in-cone read
+   whose purity carries over shares its operand's record. *)
+let rec support_at w ~bound i =
+  if w.memo_gen.(i) = w.gen then w.memo_at.(i)
+  else begin
+    (* Seed with the empty support to cut accidental cycles; the dist-0
+       subgraph is acyclic so this is never observed on valid input. *)
+    w.memo_gen.(i) <- w.gen;
+    w.memo_at.(i) <- 0;
+    w.entries <- w.entries + 1;
+    let d = dep_of w i in
+    let m = w.deps.(d) lsr 1 and passthrough = w.deps.(d) land 1 = 1 in
+    let pure = ref passthrough and most = ref 0 in
+    for j = d + 1 to d + m do
+      let c = w.deps.(j) in
+      if expands w c then begin
+        let at = support_at w ~bound c in
+        most := !most + (w.sups.(at) lsr 1);
+        if w.sups.(at) land 1 = 0 then pure := false
+      end
+      else incr most
+    done;
+    let sole =
+      if m = 1 && expands w w.deps.(d + 1) then w.memo_at.(w.deps.(d + 1))
+      else -1
+    in
+    if sole >= 0 && (passthrough || w.sups.(sole) land 1 = 0) then begin
+      w.memo_at.(i) <- sole;
+      sole
+    end
+    else begin
+      let at = w.sups_len in
+      if at + 1 + !most > Array.length w.sups then
+        w.sups <- ensure w.sups (at + 1 + !most);
+      if !most > Array.length w.acc then begin
+        w.acc <- ensure w.acc !most;
+        w.spare <- ensure w.spare !most
+      end;
+      let sups = w.sups and deps = w.deps in
+      (* The union so far is [cur.(off .. off + len - 1)]: the first
+         read's codes where they lie, then partial unions alternating
+         between the two buffers, then the last one straight into [sups]. *)
+      let cur = ref sups and off = ref 0 and len = ref 0 in
+      let into_acc = ref true in
+      for j = d + 1 to d + m do
+        let c = deps.(j) in
+        let inside = expands w c in
+        let src = if inside then sups else deps in
+        let so = if inside then w.memo_at.(c) + 1 else j in
+        let sl = if inside then sups.(so - 1) lsr 1 else 1 in
+        if j = d + 1 then begin
+          cur := src;
+          off := so;
+          len := sl
+        end
+        else begin
+          let out, o =
+            if j = d + m then (sups, at + 1)
+            else if !into_acc then (w.acc, 0)
+            else (w.spare, 0)
+          in
+          len := union !cur !off !len src so sl out o;
+          cur := out;
+          off := o;
+          into_acc := not !into_acc
+        end
+      done;
+      let len = !len in
+      if len > bound then raise Too_wide;
+      if !off <> at + 1 || !cur != sups then
+        Array.blit !cur !off sups (at + 1) len;
+      sups.(at) <- (2 * len) + Bool.to_int !pure;
+      w.sups_len <- at + 1 + len;
+      w.memo_at.(i) <- at;
+      at
+    end
+  end
+
+let start w fn ~root ~cone =
   if not (Int_set.mem root cone) then invalid_arg (fn ^ ": root not in cone");
-  let n = Ir.Cdfg.num_nodes g in
-  let memo : bit_support Int_tbl.t = Int_tbl.create 64 in
-  let rec go node bit =
-    let key = (bit * n) + node in
-    match Int_tbl.find_opt memo key with
-    | Some r -> r
-    | None ->
-        (* Seed with an empty result to cut accidental cycles; the dist-0
-           subgraph is acyclic so this is never observed on valid input. *)
-        Int_tbl.replace memo key { bits = Bitpos.Set.empty; pure_wire = true };
-        let step = dep g ~node ~bit in
-        let expand (acc_bits, acc_wire) (r : Bitpos.t) =
-          if r.dist > 0 || not (Int_set.mem r.node cone) then
-            (Bitpos.Set.add r acc_bits, acc_wire)
-          else
-            let sub = go r.node r.bit in
-            (Bitpos.Set.union sub.bits acc_bits, acc_wire && sub.pure_wire)
-        in
-        let bits, inner_wire =
-          List.fold_left expand (Bitpos.Set.empty, true) step.reads
-        in
-        if Bitpos.Set.cardinal bits > bound then raise Too_wide;
-        let r = { bits; pure_wire = step.passthrough && inner_wire } in
-        Int_tbl.replace memo key r;
-        r
-  in
-  (memo, go)
+  w.gen <- w.gen + 1;
+  w.entries <- 0;
+  w.sups_len <- 1;
+  Int_set.iter (fun v -> w.in_cone.(v) <- w.gen) cone
 
 let support g ~root ~cone ~bit =
-  let _, go = walker "Bitdep.support" g ~root ~cone ~bound:max_int in
-  go root bit
+  let w = walker g in
+  start w "Bitdep.support" ~root ~cone;
+  check_bit ~node:root ~width:(Ir.Cdfg.width g root) bit;
+  let at = support_at w ~bound:max_int (w.base.(root) + bit) in
+  let code j =
+    let c = w.sups.(at + 1 + j) in
+    let i = c mod w.total in
+    let node = w.owner.(i) in
+    Bitpos.{ node; bit = i - w.base.(node); dist = c / w.total }
+  in
+  {
+    bits = Bitpos.Set.of_list (List.init (w.sups.(at) lsr 1) code);
+    pure_wire = w.sups.(at) land 1 = 1;
+  }
 
 (* Every memo entry is reached from some output bit of [root], and a
    bit's support contains the support of every in-cone bit it reads: one
    entry wider than [bound] already proves [max_support > bound]. *)
-let profile ?(bound = max_int) g ~root ~cone =
-  let memo, go = walker "Bitdep.profile" g ~root ~cone ~bound in
-  let width = Ir.Cdfg.width g root in
+let walk ?(bound = max_int) w ~root ~cone =
+  start w "Bitdep.walk" ~root ~cone;
+  let b0 = w.base.(root) in
+  let width = w.base.(root + 1) - b0 in
   let rec over bit max_support lut_bits =
     if bit = width then Some { max_support; lut_bits }
     else
-      let s = go root bit in
-      let n = Bitpos.Set.cardinal s.bits in
+      let at = support_at w ~bound (b0 + bit) in
+      let h = w.sups.(at) in
+      let n = h lsr 1 in
       over (bit + 1) (max max_support n)
-        (if n >= 2 || (n = 1 && not s.pure_wire) then lut_bits + 1
+        (if n >= 2 || (n = 1 && h land 1 = 0) then lut_bits + 1
          else lut_bits)
   in
   let r = try over 0 0 0 with Too_wide -> None in
-  Obs.Counter.incr ~by:(Int_tbl.length memo) c_support_bits;
+  Obs.Counter.incr ~by:w.entries c_support_bits;
   r
+
+let profile ?bound g ~root ~cone = walk ?bound (walker g) ~root ~cone

@@ -15,7 +15,14 @@
     need — the feasibility measure for word-level cuts. [profile] runs
     that closure once over all of a root's output bits, sharing one memo,
     and stops at the first support wider than a bound: the single walk
-    [Cuts] makes per candidate cone. *)
+    [Cuts] makes per candidate cone.
+
+    Both run on a {!walker}, built once per graph and reused by every walk
+    over it. It computes each [(node, bit)]'s [dep] once, into flat int
+    arrays; keeps supports as sorted int codes rather than [Bitpos.Set]
+    trees; and stamps its memo and cone membership with a per-walk
+    generation, so a walk allocates no table and clears nothing.
+    [support] and [profile] are one walk each on a fresh walker. *)
 
 module Bitpos : sig
   type t = {
@@ -83,3 +90,17 @@ val profile :
     Adds the number of [(node, bit)] supports computed to the counter
     [cuts.support_bits], once per call.
     @raise Invalid_argument if [root] is not in [cone]. *)
+
+type walker
+(** The bit walk's state for one graph, O(bits in the graph) in flat
+    arrays: each [(node, bit)]'s one-step reads, computed on first use, and
+    the memo and cone stamps of the current walk. Walks on one walker must
+    not interleave. *)
+
+val walker : Ir.Cdfg.t -> walker
+
+val walk :
+  ?bound:int -> walker -> root:int -> cone:Int_set.t -> profile option
+(** [walk ?bound (walker g) ~root ~cone] is [profile ?bound g ~root ~cone]
+    (counter included), without rebuilding the graph's state: whatever
+    walks ran on the walker before, the result is the same. *)

@@ -61,43 +61,55 @@ let area_of ~k g ~root ~cone (prof : Bitdep.profile) =
 let area ~k g ~root ~cone =
   area_of ~k g ~root ~cone (Option.get (Bitdep.profile g ~root ~cone))
 
+(* Per-graph stamps for [cone_of]: a node is a leaf, or already in the
+   cone, while its stamp equals the current call's generation. *)
+type marks = { leaf : int array; seen : int array; mutable gen : int }
+
+let marks g =
+  let n = Ir.Cdfg.num_nodes g in
+  { leaf = Array.make n 0; seen = Array.make n 0; gen = 0 }
+
+exception Not_a_cone
+
 (* Canonical cone of a leaf set: nodes reachable backward from [root] along
    dist-0 edges, stopping at leaves. Returns None when a non-absorbable
-   node would fall inside the cone. Unreachable leaves are dropped. *)
-let cone_of g ~root ~leaf_set =
-  let rec walk id (cone, reached) =
-    if Int_set.mem id cone then Some (cone, reached)
-    else if Int_set.mem id leaf_set then Some (cone, Int_set.add id reached)
-    else if not (absorbable g id) then None
-    else
-      let cone = Int_set.add id cone in
-      Array.fold_left
-        (fun acc (e : Ir.Cdfg.edge) ->
-          match acc with
-          | None -> None
-          | Some (cone, reached) ->
-              if e.dist > 0 then
-                (* registered operand: must be a leaf *)
-                if Int_set.mem e.src leaf_set then
-                  Some (cone, Int_set.add e.src reached)
-                else None
-              else walk e.src (cone, reached))
-        (Some (cone, reached))
+   node would fall inside the cone. Unreachable leaves are dropped. The
+   visited set, and so the result, does not depend on the walk order. *)
+let cone_of g m ~root ~leaves =
+  m.gen <- m.gen + 1;
+  let gen = m.gen in
+  List.iter (fun l -> m.leaf.(l) <- gen) leaves;
+  let cone = ref [] and reached = ref [] in
+  let rec walk id =
+    if m.seen.(id) = gen then ()
+    else if m.leaf.(id) = gen then reached := id :: !reached
+    else if not (absorbable g id) then raise Not_a_cone
+    else begin
+      m.seen.(id) <- gen;
+      cone := id :: !cone;
+      Array.iter
+        (fun (e : Ir.Cdfg.edge) ->
+          if e.dist > 0 then
+            (* registered operand: must be a leaf *)
+            if m.leaf.(e.src) = gen then reached := e.src :: !reached
+            else raise Not_a_cone
+          else walk e.src)
         (Ir.Cdfg.preds g id)
+    end
   in
-  match walk root (Int_set.empty, Int_set.empty) with
-  | None -> None
-  | Some (cone, reached) -> Some (cone, Int_set.elements reached)
+  match walk root with
+  | exception Not_a_cone -> None
+  | () -> Some (Int_set.of_list !cone, List.sort_uniq Int.compare !reached)
 
 (* The always-legal trivial cut: the node alone, operands as leaves. *)
-let trivial_cut ~k g v =
+let trivial_cut ~k w g v =
   let leaves =
     Array.to_list (Ir.Cdfg.preds g v)
     |> List.map (fun (e : Ir.Cdfg.edge) -> e.src)
     |> List.sort_uniq Int.compare
   in
   let cone = Int_set.singleton v in
-  let prof = Option.get (Bitdep.profile g ~root:v ~cone) in
+  let prof = Option.get (Bitdep.walk w ~root:v ~cone) in
   {
     root = v;
     leaves;
@@ -108,7 +120,8 @@ let trivial_cut ~k g v =
 
 let trivial_only g =
   (* k is irrelevant for areas of trivial cuts except Cmp; use 4. *)
-  Array.init (Ir.Cdfg.num_nodes g) (fun v -> [| trivial_cut ~k:4 g v |])
+  let w = Bitdep.walker g in
+  Array.init (Ir.Cdfg.num_nodes g) (fun v -> [| trivial_cut ~k:4 w g v |])
 
 let rank a b =
   let c = Int.compare a.area b.area in
@@ -118,7 +131,7 @@ let rank a b =
     if c <> 0 then c
     else
       let c = Int.compare (List.length a.leaves) (List.length b.leaves) in
-      if c <> 0 then c else compare a.leaves b.leaves
+      if c <> 0 then c else List.compare Int.compare a.leaves b.leaves
 
 (* Cartesian product of per-operand choice lists, capped. Each choice is a
    leaf set (as a sorted int list). *)
@@ -135,7 +148,7 @@ let merged_leaf_sets ~cap choices =
   in
   fst (go ([], 0) [] choices)
   |> List.map (List.sort_uniq Int.compare)
-  |> List.sort_uniq compare
+  |> List.sort_uniq (List.compare Int.compare)
 
 let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   Obs.Timer.span t_enumerate @@ fun () ->
@@ -145,14 +158,18 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   let forced_timeout = Resilience.Fault.fires "cuts.timeout" in
   let p = match params with Some p -> p | None -> default_params ~k in
   let n = Ir.Cdfg.num_nodes g in
+  (* One walker and one set of cone stamps serve every cone below. *)
+  let w = Bitdep.walker g in
+  let m = marks g in
   (* Each node's trivial cut, profiled once; every merge of it reuses it. *)
-  let trivial = Array.init n (trivial_cut ~k:p.k g) in
+  let trivial = Array.init n (trivial_cut ~k:p.k w g) in
   (* Building blocks: for each node, the leaf sets successors may choose
      from — the singleton {v} plus v's own enumerated (non-trivial) cuts. *)
   let blocks =
     Array.mapi
       (fun v triv ->
-        if absorbable g v then List.sort_uniq compare [ [ v ]; triv.leaves ]
+        if absorbable g v then
+          List.sort_uniq (List.compare Int.compare) [ [ v ]; triv.leaves ]
         else [ [ v ] ])
       trivial
   in
@@ -161,12 +178,12 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
     if List.mem v leaves then None
       (* the root reached itself through a recurrence: not a cone *)
     else
-    match cone_of g ~root:v ~leaf_set:(Int_set.of_list leaves) with
+    match cone_of g m ~root:v ~leaves with
     | None -> None
     | Some (cone, leaves) ->
         if Int_set.cardinal cone = 1 then None (* that's the trivial cut *)
         else
-          match Bitdep.profile ~bound:p.k g ~root:v ~cone with
+          match Bitdep.walk ~bound:p.k w ~root:v ~cone with
           | None ->
               Obs.Counter.incr c_infeasible;
               None
@@ -201,7 +218,11 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
               else mk_cut v leaves)
             candidates
         in
-        let cuts = List.sort_uniq (fun a b -> compare a.leaves b.leaves) cuts in
+        let cuts =
+          List.sort_uniq
+            (fun a b -> List.compare Int.compare a.leaves b.leaves)
+            cuts
+        in
         let ranked = List.sort rank cuts in
         let kept = List.filteri (fun i _ -> i < p.max_cuts) ranked in
         Obs.Counter.incr ~by:(List.length ranked - List.length kept) c_pruned;
@@ -219,7 +240,7 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
     (Ir.Cdfg.topo_order g);
   let same_cutset a b =
     List.length a = List.length b
-    && List.for_all2 (fun x y -> x.leaves = y.leaves) a b
+    && List.for_all2 (fun x y -> List.equal Int.equal x.leaves y.leaves) a b
   in
   (* Deadline degradation: abandoning the worklist early is safe because
      every node's cut set starts as [trivial] — downstream consumers just
@@ -252,7 +273,7 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
       blocks.(v) <-
         (if absorbable g v then
            ([ v ] :: List.map (fun c -> c.leaves) fresh)
-           |> List.sort_uniq compare
+           |> List.sort_uniq (List.compare Int.compare)
          else [ [ v ] ]);
       List.iter
         (fun (s, dist) ->

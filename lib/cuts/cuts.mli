@@ -8,8 +8,8 @@
     Deviations from bit-level enumeration, per DESIGN.md:
     - feasibility is per output bit: the cone is K-feasible iff every output
       bit's boundary-bit support (from {!Bitdep.support}) has at most K bits.
-      Each candidate cone gets one {!Bitdep.profile} walk bounded by K,
-      which yields both its support and its LUT bits and stops at the first
+      Each candidate cone gets one {!Bitdep.walk} bounded by K, which
+      yields both its support and its LUT bits and stops at the first
       support wider than K; each node's trivial cut is profiled once per
       enumeration;
     - cones never cross loop-carried ([dist > 0]) edges — LUTs are
@@ -51,8 +51,12 @@ val enumerate :
   Ir.Cdfg.t ->
   t
 (** Algorithm 1: worklist-driven merge of predecessor cut sets. Cuts are
-    ranked by (area, support, leaf count) and pruned to [max_cuts] per node;
-    the trivial cut is never pruned.
+    ranked by (area, support, leaf count, then leaves) and pruned to
+    [max_cuts] per node; the trivial cut is never pruned.
+
+    One enumeration builds one {!Bitdep.walker} for the graph, and every
+    trivial cut and every candidate cone is profiled on it; each candidate
+    leaf set's canonical cone is found on per-graph stamp arrays.
 
     When [deadline] (default {!Resilience.Deadline.none}) expires the
     worklist is abandoned: [truncated] (if given) is set and the partial
@@ -68,12 +72,13 @@ val enumerate :
     that passed / failed the K bound), [cuts.pruned] (feasible cuts
     dropped by [max_cuts]), [cuts.node_merges] (worklist pops),
     [cuts.deadline_truncations], and the work counter [cuts.support_bits]:
-    the [(node, bit)] supports {!Bitdep.profile} computes, for candidate
+    the [(node, bit)] supports {!Bitdep.walk} computes, for candidate
     and trivial cuts alike (so {!trivial_only} adds to it too). *)
 
 val trivial_only : Ir.Cdfg.t -> t
 (** The cut sets used by MILP-base: every node keeps only its trivial cut
-    (equivalent to skipping cut enumeration, Sec. 4). *)
+    (equivalent to skipping cut enumeration, Sec. 4), all profiled on one
+    {!Bitdep.walker}. *)
 
 val is_trivial : cut -> bool
 (** The cone contains only the root. *)

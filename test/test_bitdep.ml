@@ -219,44 +219,107 @@ let support_monotone_in_cone =
         s_big.Bitdep.bits
       && Bp.Set.cardinal s_small.Bitdep.bits <= 2)
 
-(* Every cut the enumerator offers at K = 12 on the registry kernels, under
-   every bound 1..12: [profile ~bound] is [None] exactly when the widest
-   per-bit support exceeds the bound, and otherwise equals a reference
-   built bit by bit from [support]. *)
+(* The reference closure of [dep] from [node]'s bit [bit] inside [cone]:
+   plain sets, no memo, no bound, no code shared with the walker. *)
+let rec naive_support g ~cone node bit =
+  let step = Bitdep.dep g ~node ~bit in
+  List.fold_left
+    (fun (bits, wire) (r : Bp.t) ->
+      if r.dist > 0 || not (Bitdep.Int_set.mem r.node cone) then
+        (Bp.Set.add r bits, wire)
+      else
+        let sub, sub_wire = naive_support g ~cone r.node r.bit in
+        (Bp.Set.union sub bits, wire && sub_wire))
+    (Bp.Set.empty, step.Bitdep.passthrough)
+    step.Bitdep.reads
+
+(* The (root, cone) of every cut the enumerator offers at K = 12 on the
+   registry kernels, trivial cuts included, per kernel. *)
+let registry_cones =
+  lazy
+    (List.map
+       (fun (e : Benchmarks.Registry.entry) ->
+         let g = e.build () in
+         let cones =
+           Array.to_list (Cuts.enumerate ~k:12 g)
+           |> List.concat_map Array.to_list
+           |> List.map (fun (c : Cuts.cut) -> (c.root, c.cone))
+         in
+         (e.name, g, cones))
+       Benchmarks.Registry.all)
+
+(* On those cones, under every bound 1..12, [support] equals the naive
+   closure bit by bit, and [profile ~bound] is [None] exactly when the
+   widest per-bit support exceeds the bound, and otherwise equals the
+   profile built from the naive closure. *)
 let test_bounded_profile () =
   List.iter
-    (fun (e : Benchmarks.Registry.entry) ->
-      let g = e.build () in
-      Array.iter
-        (Array.iter (fun (c : Cuts.cut) ->
-             let root = c.root and cone = c.cone in
-             let sups =
-               List.init (Ir.Cdfg.width g root) (fun bit ->
-                   Bitdep.support g ~root ~cone ~bit)
-             in
-             let card (s : Bitdep.bit_support) = Bp.Set.cardinal s.bits in
-             let max_support =
-               List.fold_left (fun m s -> max m (card s)) 0 sups
-             in
-             let lut_bits =
-               List.length
-                 (List.filter
-                    (fun (s : Bitdep.bit_support) ->
-                      card s >= 2 || (card s = 1 && not s.pure_wire))
-                    sups)
-             in
-             let want = Bitdep.{ max_support; lut_bits } in
-             for bound = 1 to 12 do
-               let got = Bitdep.profile ~bound g ~root ~cone in
-               let ok =
-                 if max_support > bound then got = None else got = Some want
-               in
-               if not ok then
-                 Alcotest.failf "%s root %d bound %d: max support %d" e.name
-                   root bound max_support
-             done))
-        (Cuts.enumerate ~k:12 g))
-    Benchmarks.Registry.all
+    (fun (name, g, cones) ->
+      List.iter
+        (fun (root, cone) ->
+          let sups =
+            List.init (Ir.Cdfg.width g root) (fun bit ->
+                let bits, pure_wire = naive_support g ~cone root bit in
+                let s = Bitdep.support g ~root ~cone ~bit in
+                if
+                  not
+                    (Bp.Set.equal s.Bitdep.bits bits
+                    && s.Bitdep.pure_wire = pure_wire)
+                then Alcotest.failf "%s root %d bit %d: support" name root bit;
+                (Bp.Set.cardinal bits, pure_wire))
+          in
+          let max_support = List.fold_left (fun m (n, _) -> max m n) 0 sups in
+          let lut_bits =
+            List.length
+              (List.filter
+                 (fun (n, wire) -> n >= 2 || (n = 1 && not wire))
+                 sups)
+          in
+          let want = Bitdep.{ max_support; lut_bits } in
+          for bound = 1 to 12 do
+            let got = Bitdep.profile ~bound g ~root ~cone in
+            let ok =
+              if max_support > bound then got = None else got = Some want
+            in
+            if not ok then
+              Alcotest.failf "%s root %d bound %d: max support %d" name root
+                bound max_support
+          done)
+        cones)
+    (Lazy.force registry_cones)
+
+(* One walker per graph, reused over those (root, cone, bound) walks in a
+   shuffled order, gives the result and the [cuts.support_bits] delta of
+   a fresh walk every time, including right after a walk that aborted: no
+   stamp, memo entry or record outlives its walk. *)
+let walker_reuse =
+  let support_bits = Obs.Counter.get "cuts.support_bits" in
+  let counted f =
+    let before = Obs.Counter.value support_bits in
+    let r = f () in
+    (r, Obs.Counter.value support_bits - before)
+  in
+  QCheck.Test.make ~name:"walker reuse" ~count:4
+    QCheck.(make Gen.int)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun (_, g, cones) ->
+          let walks =
+            List.concat_map
+              (fun (root, cone) -> List.init 12 (fun b -> (root, cone, b + 1)))
+              cones
+            |> List.map (fun x -> (Random.State.bits rng, x))
+            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+            |> List.map snd
+          in
+          let w = Bitdep.walker g in
+          List.for_all
+            (fun (root, cone, bound) ->
+              counted (fun () -> Bitdep.walk ~bound w ~root ~cone)
+              = counted (fun () -> Bitdep.profile ~bound g ~root ~cone))
+            walks)
+        (Lazy.force registry_cones))
 
 let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 
@@ -290,5 +353,5 @@ let () =
           Alcotest.test_case "wire cone free" `Quick test_wire_cone_is_free;
           Alcotest.test_case "bounded profile" `Quick test_bounded_profile;
         ] );
-      ("random", qsuite [ support_monotone_in_cone ]);
+      ("random", qsuite [ support_monotone_in_cone; walker_reuse ]);
     ]

@@ -2,8 +2,9 @@
    --help=plain` and `pipesyn CMD --help=plain` for every subcommand exit
    0 and write nothing to stderr. Cmdliner reports malformed doc markup
    (an illegal escape, an unbalanced $(...)) on stderr while still
-   printing the page, so a broken doc string is otherwise invisible. And
-   `pipesyn lint --all --json` reports the registry error-free. *)
+   printing the page, so a broken doc string is otherwise invisible.
+   `pipesyn lint --all --json` reports the registry error-free, and
+   `pipesyn run --json` writes a metrics file that parses. *)
 
 let exe = Filename.concat Filename.parent_dir_name "bin/pipesyn.exe"
 
@@ -98,6 +99,30 @@ let test_lint_all_clean () =
         (Obs.Json.member "errors" b = Some (Obs.Json.Int 0)))
     benches
 
+(* `pipesyn run -b CLZ -m hls --json` exits 0 and writes a schema-9
+   metrics file whose [obs] section carries the cut enumeration's work
+   counter. *)
+let test_run_metrics_json () =
+  let path = Filename.temp_file "pipesyn_run" ".json" in
+  let code, _, _ = run [ "run"; "-b"; "CLZ"; "-m"; "hls"; "--json"; path ] in
+  let text = read_file path in
+  Sys.remove path;
+  Alcotest.(check int) "run exit code" 0 code;
+  let doc =
+    match Obs.Json.of_string text with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "metrics JSON: %s" msg
+  in
+  Alcotest.(check bool) "schema_version = 9" true
+    (Obs.Json.member "schema_version" doc = Some (Obs.Json.Int 9));
+  let obs =
+    match Obs.Json.member "obs" doc with
+    | Some obs -> obs
+    | None -> Alcotest.fail "metrics JSON: no obs section"
+  in
+  Alcotest.(check bool) "obs has cuts.support_bits" true
+    (Obs.Json.member "cuts.support_bits" obs <> None)
+
 let () =
   Alcotest.run "cli"
     [
@@ -110,5 +135,10 @@ let () =
         [
           Alcotest.test_case "--all --json is error-free" `Quick
             test_lint_all_clean;
+        ] );
+      ( "run",
+        [
+          Alcotest.test_case "--json writes schema-9 metrics" `Quick
+            test_run_metrics_json;
         ] );
     ]

@@ -220,8 +220,9 @@ let cut_invariants =
 (* The full cut sets at device K, pinned field by field: a digest of each
    field's sequence over every node and cut in order, so a change in any
    root, leaf list, cone, support, area or cut order shows up by field.
-   The counters are the five [cuts.*] deltas of one enumeration:
-   candidates, enumerated, infeasible, pruned, node_merges. *)
+   The counters are the six [cuts.*] deltas of one enumeration:
+   candidates, enumerated, infeasible, pruned, node_merges and the work
+   counter support_bits. *)
 type pin = {
   cuts : int;
   leaves : string;
@@ -239,6 +240,7 @@ let pin_counters =
       "cuts.infeasible";
       "cuts.pruned";
       "cuts.node_merges";
+      "cuts.support_bits";
     ]
 
 let field_digest (cuts : Cuts.t) f =
@@ -288,7 +290,8 @@ let pinned_graphs =
     ]
 
 (* Captured from the enumeration before the bounded walk replaced the
-   two-pass support and LUT-bit analysis. *)
+   two-pass support and LUT-bit analysis; [support_bits] from the bounded
+   walk before one walker per graph replaced its per-cone tables. *)
 let pinned =
   [
     ( "CLZ",
@@ -298,7 +301,7 @@ let pinned =
         cones = "bb7e0156a957a434ff57829644ec40dd";
         supports = "3aef96cd38e37363adedc8e099be84df";
         areas = "e42c97bfae1dbf38cf70913e771d6365";
-        counters = [ 1158; 523; 464; 288; 63 ];
+        counters = [ 1158; 523; 464; 288; 63; 15218 ];
       } );
     ( "XORR",
       {
@@ -307,7 +310,7 @@ let pinned =
         cones = "736ee2c8183aa3b35872911e894a1dd7";
         supports = "a3be819588d0c3c01910ed235e0bb0e7";
         areas = "a0cc662a4aa28c0d7f52a012bc76bacf";
-        counters = [ 1512; 899; 468; 485; 79 ];
+        counters = [ 1512; 899; 468; 485; 79; 34538 ];
       } );
     ( "GFMUL",
       {
@@ -316,7 +319,7 @@ let pinned =
         cones = "7777f24516912a8898899b75ec9f1a0e";
         supports = "6a1925b5c5b978037bd7446b0603b7ec";
         areas = "5924391638c594a06935b52545d053af";
-        counters = [ 893; 653; 206; 323; 33 ];
+        counters = [ 893; 653; 206; 323; 33; 12338 ];
       } );
     ( "CORDIC",
       {
@@ -325,7 +328,7 @@ let pinned =
         cones = "461e3527400fabaf67e57ebdddc2a0f6";
         supports = "06a5fae907a3e756e2d180fa44db5e62";
         areas = "db0e46417d669e0fbeaccdf739924cd8";
-        counters = [ 378; 30; 300; 0; 55 ];
+        counters = [ 378; 30; 300; 0; 55; 2380 ];
       } );
     ( "MT",
       {
@@ -334,7 +337,7 @@ let pinned =
         cones = "dbd6b16cafbda2cb96de26112eba4786";
         supports = "830dc5a3af4a1c0e8fef4d3278007e2c";
         areas = "5fbacd6eb6bec6fbd6761e7c94c0a438";
-        counters = [ 623; 477; 54; 160; 24 ];
+        counters = [ 623; 477; 54; 160; 24; 23954 ];
       } );
     ( "AES",
       {
@@ -343,7 +346,7 @@ let pinned =
         cones = "4c254f5c99868f50df73e3af398bf75f";
         supports = "9e74e22fcf87e67b9e33bd4b423fa7c4";
         areas = "0f890242b10f4842e889ce1c28cbdb23";
-        counters = [ 878; 310; 420; 94; 56 ];
+        counters = [ 878; 310; 420; 94; 56; 13762 ];
       } );
     ( "RS",
       {
@@ -352,7 +355,7 @@ let pinned =
         cones = "46a1f3fcc3c5032ebee32685af9038cb";
         supports = "e00fd6d1861bd9932493b598c06b359c";
         areas = "a407f4f7d80051b93967115d2d909da4";
-        counters = [ 1138; 828; 154; 194; 33 ];
+        counters = [ 1138; 828; 154; 194; 33; 13022 ];
       } );
     ( "DR",
       {
@@ -361,7 +364,7 @@ let pinned =
         cones = "5bfac52b9f9f9d33b30228e637e25329";
         supports = "c763e41658e32ed1f5f8ee1914a43ddb";
         areas = "55e2baf6e2a2db71cf0c3b01da2ddacd";
-        counters = [ 204; 49; 126; 0; 40 ];
+        counters = [ 204; 49; 126; 0; 40; 2154 ];
       } );
     ( "GSM",
       {
@@ -370,7 +373,7 @@ let pinned =
         cones = "11e9e66d78d2e24788d63970477b02e6";
         supports = "ebd4ef4c7ff07ec893e6a00d7847f6fd";
         areas = "52c025f26b0895bb3306db9748915e09";
-        counters = [ 278; 90; 165; 0; 34 ];
+        counters = [ 278; 90; 165; 0; 34; 3284 ];
       } );
     ( "XORR 24x16 mix 3, simplified",
       {
@@ -379,7 +382,7 @@ let pinned =
         cones = "273df93d3d50de1f7ddf99d5eb7603d7";
         supports = "8ce0266cd8d2554c6d5bedd65ddaee46";
         areas = "29087f9b2b0600252f0405a2b91ea40a";
-        counters = [ 4056; 2153; 1454; 897; 216 ];
+        counters = [ 4056; 2153; 1454; 897; 216; 142727 ];
       } );
     ( "CORDIC 16x8",
       {
@@ -388,7 +391,7 @@ let pinned =
         cones = "215107913ae577adeb18fa60e1487748";
         supports = "adf148f8af48ecaa68fbe3bba288c448";
         areas = "362e539b8d3b495750102045babaa42c";
-        counters = [ 830; 66; 668; 0; 107 ];
+        counters = [ 830; 66; 668; 0; 107; 6536 ];
       } );
     ( "GFMUL 8",
       {
@@ -397,7 +400,7 @@ let pinned =
         cones = "a6354abd895d262fb533ec09d7f566de";
         supports = "b3c1c31b31d24b31f524bc33ba2a6fae";
         areas = "a31803fa69b768dc5b1a899995fddc10";
-        counters = [ 2445; 1693; 674; 747; 69 ];
+        counters = [ 2445; 1693; 674; 747; 69; 57150 ];
       } );
   ]
 
