@@ -82,16 +82,6 @@ let domains_arg =
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
 
-let stall_window_arg =
-  let doc =
-    "Stall-watchdog window in seconds: a B&B worker that makes no \
-     progress for a full window is first nudged (cold refactorization), \
-     then its node is cancelled and requeued for replay. Off by default; \
-     results are unaffected either way (the recovery is recorded in the \
-     degradation log)."
-  in
-  Arg.(value & opt (some float) None & info [ "stall-window" ] ~doc ~docv:"SECS")
-
 let cuts_flag_arg =
   let on =
     ( Some true,
@@ -379,8 +369,8 @@ let run_cmd =
     let doc =
       "Write the leveled structured event stream (flow phases, cascade \
        retries/degradations, incumbents, cut rounds, checkpoints, \
-       recoveries, stalls, resource-probe samples) to $(docv) as NDJSON \
-       (schema pipesyn-log-v1). Purely observational: results are \
+       resource-probe samples) to $(docv) as NDJSON (schema \
+       pipesyn-log-v1). Purely observational: results are \
        identical with and without logging. Also enabled by \
        $(b,PIPESYN_LOG); buffer capacity via $(b,PIPESYN_LOG_CAP)."
     in
@@ -396,8 +386,8 @@ let run_cmd =
                 ($(b,PIPESYN_PROBE_MS)).")
   in
   let run name method_ time_limit ii k alpha beta verbose optimize json trace
-      faults deadline domains checkpoint checkpoint_every stall_window audit
-      cuts presolve log progress =
+      faults deadline domains checkpoint checkpoint_every audit cuts presolve
+      log progress =
     setup_logs verbose;
     (match domains with
     | Some d when d < 1 ->
@@ -471,7 +461,6 @@ let run_cmd =
     let setup =
       { setup with
         Mams.Flow.checkpoint = checkpoint_sink;
-        stall_window;
         audit;
         cuts;
         presolve;
@@ -528,7 +517,7 @@ let run_cmd =
       const run $ bench_arg $ method_arg $ time_limit_arg $ ii_arg $ k_arg
       $ alpha_arg $ beta_arg $ verbose_arg $ optimize_arg $ json_arg
       $ trace_arg $ faults_arg $ deadline_arg $ domains_arg $ checkpoint_arg
-      $ checkpoint_every_arg $ stall_window_arg $ audit_arg $ cuts_flag_arg
+      $ checkpoint_every_arg $ audit_arg $ cuts_flag_arg
       $ presolve_flag_arg $ log_arg $ progress_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -576,7 +565,7 @@ let resume_cmd =
   in
   let int_of j = match j with Some (Obs.Json.Int i) -> Some i | _ -> None in
   let bool_of j = match j with Some (Obs.Json.Bool b) -> Some b | _ -> None in
-  let run file time_limit domains audit json log faults stall_window verbose =
+  let run file time_limit domains audit json log faults verbose =
     setup_logs verbose;
     (match domains with
     | Some d when d < 1 ->
@@ -643,7 +632,6 @@ let resume_cmd =
       e.name (Mams.Flow.method_name method_) file ck.Lp.Checkpoint.nodes_done
       (List.length ck.Lp.Checkpoint.frontier)
       ck.Lp.Checkpoint.elapsed_s;
-    let setup = { setup with Mams.Flow.stall_window } in
     let failed = ref false and degraded = ref false in
     let metrics =
       match Mams.Flow.run setup method_ g with
@@ -688,7 +676,7 @@ let resume_cmd =
           uninterrupted run would have. Exit codes as for `pipesyn run'.")
     Term.(
       const run $ file_arg $ time_limit_opt_arg $ domains_arg $ audit_arg
-      $ json_arg $ log_arg $ faults_arg $ stall_window_arg $ verbose_arg)
+      $ json_arg $ log_arg $ faults_arg $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
 (* cuts                                                                *)

@@ -118,12 +118,11 @@ let passes =
           ("RES002", "attempt failed or degraded; next fallback ran");
           ("RES003", "cascade exhausted: every fallback failed (run error)");
           ("RES004", "transient failure retried in place on the same rung (bounded, deterministic)");
-          ("RES005", "supervised in-flight recovery: worker death replayed or stalled node requeued; results unaffected");
         ];
       description =
-        "degradation-cascade and solve-supervision events recorded \
-         against an otherwise accepted run (the Metrics degradation \
-         array, mirrored as diagnostics)";
+        "degradation-cascade events recorded against an otherwise \
+         accepted run (the Metrics degradation array, mirrored as \
+         diagnostics)";
     };
   ]
 

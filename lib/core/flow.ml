@@ -14,7 +14,6 @@ type setup = {
   audit : bool;
   checkpoint : Lp.Milp.checkpoint_sink option;
   resume : Lp.Checkpoint.t option;
-  stall_window : float option;
   cuts : bool option;
       (** root cutting planes; [None] defers to [PIPESYN_CUTS] (on by
           default) *)
@@ -36,7 +35,6 @@ let default_setup ~device =
     audit = false;
     checkpoint = None;
     resume = None;
-    stall_window = None;
     cuts = None;
     presolve = None;
   }
@@ -75,10 +73,8 @@ let diags_json diags =
 
 (* Degradation trail entries double as diagnostics: RES001 for contained
    exceptions, RES002 for every other failed/degraded attempt, RES004 for
-   a bounded same-rung retry of a transient failure, RES005 for solve
-   supervision recoveries (worker deaths replayed, watchdog requeues)
-   inside an accepted solve. Cascade exhaustion is RES003 (see the error
-   message in [run]). *)
+   a bounded same-rung retry of a transient failure. Cascade exhaustion
+   is RES003 (see the error message in [run]). *)
 let trail_diags trail =
   List.map
     (fun (a : Resilience.Cascade.attempt) ->
@@ -90,12 +86,6 @@ let trail_diags trail =
            class, same rung re-run before degrading"
           a.Resilience.Cascade.label a.Resilience.Cascade.retry
           a.Resilience.Cascade.reason
-      else if a.Resilience.Cascade.reason = "recovery" then
-        Analyze.Diag.warnf
-          ~witness:[ a.Resilience.Cascade.detail ]
-          ~code:"RES005" ~pass:"resilience.cascade" ~loc:Analyze.Diag.Global
-          "attempt '%s' recovered in flight: %s" a.Resilience.Cascade.label
-          a.Resilience.Cascade.detail
       else if a.Resilience.Cascade.reason = "exception" then
         Analyze.Diag.warnf
           ~witness:[ a.Resilience.Cascade.detail ]
@@ -173,14 +163,6 @@ let metrics_of setup method_ ~cuts_total ~gate_diags (qor : Sched.Qor.t)
       (match solve.milp_stats with
       | Some s -> s.Lp.Milp.checkpoints
       | None -> 0);
-    recoveries =
-      (match solve.milp_stats with
-      | Some s -> s.Lp.Milp.recoveries
-      | None -> 0);
-    stalls =
-      (match solve.milp_stats with
-      | Some s -> s.Lp.Milp.stalls
-      | None -> 0);
     (* Filled in by [run]'s Gc.quick_stat bracket around the whole
        cascade; metrics are assembled mid-run, before the delta is
        known. *)
@@ -215,8 +197,6 @@ let error_metrics ?(diags = []) ~name method_ =
     milp_cuts = 0;
     gap_closed_root = Float.nan;
     checkpoints = 0;
-    recoveries = 0;
-    stalls = 0;
     gc_minor_words = 0.0;
     gc_major_words = 0.0;
     diagnostics = diags_json diags;
@@ -521,8 +501,7 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
               ~deadline:(phase "solve") ?incumbent
               ~branch_priority:(Formulation.branch_priorities f)
               ?domains:setup.domains ~certificates:setup.audit
-              ?checkpoint:setup.checkpoint ?resume
-              ?stall_window:setup.stall_window ?cuts:setup.cuts
+              ?checkpoint:setup.checkpoint ?resume ?cuts:setup.cuts
               ?presolve:setup.presolve
               (Formulation.model f))
       in
@@ -534,18 +513,6 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
         | Some _ -> r.Lp.Milp.stats.Lp.Milp.elapsed
         | None -> Obs.Clock.wall () -. t0
       in
-      (* Supervised recovery replays a dead worker's subtree or requeues a
-         watchdog-cancelled node; results are unaffected (DESIGN.md §3i)
-         but the event belongs in the degradation log. *)
-      if r.Lp.Milp.stats.Lp.Milp.recoveries > 0 then
-        note ctx
-          ~label:(if mapping_aware then "milp-map.solve" else "milp-base.solve")
-          ~reason:"recovery"
-          ~detail:
-            (Fmt.str
-               "%d in-flight recover(s) (worker replay / watchdog requeue); \
-                results unaffected"
-               r.Lp.Milp.stats.Lp.Milp.recoveries);
       (* Opt-in proof audit: re-verify the solve's certificate in exact
          rational arithmetic. Observational — findings land in the
          metrics (and the audit_errors field CI gates on), they never

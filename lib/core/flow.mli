@@ -32,11 +32,10 @@
     in-place retry before the ladder degrades (resilience-v2). Whatever
     attempt wins, the returned (schedule, cover) passes
     {!Sched.Verify.check}; the failed attempts and soft degradations
-    (truncated enumeration, degraded mapping, uncertified optimality,
-    supervised in-flight recoveries) form the result's [trail], serialized
-    as the Metrics [degradation] array and mirrored as RES001/RES002
-    (contained/degraded), RES004 (in-place retry) and RES005 (in-flight
-    recovery) diagnostics. A cascade that exhausts every attempt returns
+    (truncated enumeration, degraded mapping, uncertified optimality)
+    form the result's [trail], serialized as the Metrics [degradation]
+    array and mirrored as RES001/RES002 (contained/degraded) and RES004
+    (in-place retry) diagnostics. A cascade that exhausts every attempt returns
     [Error] with an ["RES003"]-prefixed message. *)
 
 type method_ = Hls_tool | Sdc_tool | Milp_base | Milp_map | Map_heuristic
@@ -74,9 +73,6 @@ type setup = {
       (** resume the full-strength MILP rung from this snapshot
           ([pipesyn resume]); degraded rungs re-solve from scratch (their
           formulation differs, so the frontier would not match). *)
-  stall_window : float option;
-      (** stall-watchdog window in seconds ([--stall-window]); [None] =
-          watchdog off. See {!Lp.Milp.solve}. *)
   cuts : bool option;
       (** root cutting planes for the MILP rungs ([--cuts]/[--no-cuts]);
           [None] defers to the [PIPESYN_CUTS] environment variable, on
@@ -89,8 +85,8 @@ type setup = {
 val default_setup : device:Fpga.Device.t -> setup
 (** [ii = 1], [alpha = beta = 0.5] (paper Sec. 4), default delays,
     unlimited resources, 60 s MILP budget, no wall-clock budget,
-    [domains = None], [audit = false], no checkpointing or resume, stall
-    watchdog off, cuts and presolve deferred to their defaults (on). *)
+    [domains = None], [audit = false], no checkpointing or resume, cuts
+    and presolve deferred to their defaults (on). *)
 
 type solve_info = {
   runtime : float;  (** seconds spent in the MILP (0 for the heuristic) *)

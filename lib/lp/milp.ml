@@ -12,8 +12,6 @@ type stats = {
   first_incumbent_s : float;
   domains : int;
   checkpoints : int;
-  recoveries : int;
-  stalls : int;
   cpu_s : float;
   cuts_applied : int;
   cut_rounds : int;
@@ -35,8 +33,6 @@ type checkpoint_sink = {
   ck_meta : Obs.Json.t;
 }
 
-exception Worker_killed
-
 let src = Logs.Src.create "lp.milp" ~doc:"branch and bound"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -50,8 +46,6 @@ let c_incumbents = Obs.Counter.get "milp.incumbents"
 let c_warm_hits = Obs.Counter.get "milp.warm_hits"
 let c_fixed_vars = Obs.Counter.get "milp.fixed_vars"
 let c_checkpoints = Obs.Counter.get "milp.checkpoints"
-let c_recoveries = Obs.Counter.get "milp.recoveries"
-let c_stalls = Obs.Counter.get "milp.stalls"
 let c_cuts_applied = Obs.Counter.get "milp.cuts_applied"
 let c_cut_rounds = Obs.Counter.get "milp.cut_rounds"
 let s_gap_closed_root = Obs.Series.get "milp.gap_closed_root"
@@ -149,10 +143,6 @@ type node = {
   bvar : int;  (** variable branched to create this node; -1 at root *)
   bfrac : float;  (** fractional part of [bvar] in the parent LP *)
   dir_up : bool;  (** up child ([lb := ceil]) vs down child ([ub := floor]) *)
-  mutable cancels : int;
-      (** watchdog cancel count: the watchdog never cancels the same node
-          twice, so a legitimately slow LP is cancelled at most once and
-          then replays to completion (no cancel/requeue livelock) *)
 }
 
 (* The chain entry that created a node's box, as certificate data. *)
@@ -292,8 +282,8 @@ let cuts_from_env () =
    solution vector wins. Unlike an exploration-order node id, this key
    does not depend on which domain reached the solution first, so the
    final incumbent is stable run-to-run and across domain counts — and,
-   by the same argument, across worker deaths, watchdog requeues and
-   checkpoint/resume (all of which only permute exploration order). *)
+   by the same argument, across checkpoint/resume (which only permutes
+   exploration order). *)
 let lex_less a b =
   let n = Array.length a in
   let rec go i =
@@ -309,31 +299,19 @@ let lex_less a b =
    table, so node LPs never share mutable solver state across domains.
    Chains are immutable and reference bound values relative to the
    post-fixing root arrays (identical in every context), which is what
-   makes subtrees shippable between domains.
-
-   Supervision fields: [w_cell] is the worker's cancellation cell and
-   [w_dl] the worker deadline carrying it — the simplex polls [w_dl], so
-   a watchdog {!Resilience.Deadline.cancel} lands within one poll
-   interval. [w_beat] is the worker's last-progress wall instant,
-   [w_nudge] asks the next LP to cold-refactorize (escalation rung 1),
-   and [w_deaths] counts supervised recoveries of this slot. *)
+   makes subtrees shippable between domains. *)
 type wctx = {
   wid : int;  (** worker slot; 0 is the coordinator *)
   wlb : float array;
   wub : float array;
   mutable wcur : chain;
   mutable wstate : Simplex.state option;
-  mutable wpc : pseudocost;
+  wpc : pseudocost;
   mutable w_iters : int;
   mutable w_limited : int;
   mutable w_warm : int;
   mutable wcerts : Cert.node list;
       (** per-worker certificate log, newest first; merged after join *)
-  w_cell : Resilience.Deadline.cell;
-  w_dl : Resilience.Deadline.t;
-  w_beat : float Atomic.t;
-  w_nudge : bool Atomic.t;
-  mutable w_deaths : int;
   w_cnode : Obs.Counter.t;
       (** per-worker-domain node counter ([milp.nodes.d<wid>]); the
           resource probe reads its deltas for per-domain throughput *)
@@ -341,24 +319,18 @@ type wctx = {
 
 (* What processing one node asks of the scheduler. Children come in dive
    order: [near] (round-to-nearest) is explored next, [far] is the
-   publishable sibling. [Cancelled] is a watchdog cancel caught mid-LP:
-   the node is still open and must be requeued. *)
+   publishable sibling. *)
 type outcome =
   | Leaf
   | Children of node * node  (** (near, far) *)
-  | Cancelled
   | Stop_budget
   | Stop_unbounded
-
-(* A worker slot survives at most this many supervised deaths before the
-   failure is treated as systemic and propagated. *)
-let max_worker_deaths = 3
 
 let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     ?(gap_tol = 1e-6) ?(int_tol = 1e-6)
     ?(deadline = Resilience.Deadline.none) ?incumbent ?branch_priority
-    ?domains ?(certificates = false) ?checkpoint ?resume ?stall_window
-    ?cuts ?presolve model =
+    ?domains ?(certificates = false) ?checkpoint ?resume ?cuts
+    ?presolve model =
   let domains =
     match domains with
     | Some d -> max 1 (min d 64)
@@ -369,8 +341,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     ~args:[ ("domains", Obs.Json.Int domains) ]
   @@ fun () ->
   Obs.Counter.incr c_solves;
-  if Resilience.Fault.fires "milp.raise" then
-    failwith "injected fault: milp.raise";
   (* The injected timeout models "budget exhausted before any incumbent":
      warm-start seeding is skipped so the solve reports Unknown, the
      hardest failure the cascade must absorb. *)
@@ -604,19 +574,15 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           pc_of_ck ck.Checkpoint.pc.(wid)
       | _ -> pc_create raw.n
     in
-    let cell = Resilience.Deadline.new_cell () in
     { wid; wlb = lb; wub = ub; wcur = Root; wstate = None; wpc;
       w_iters = 0; w_limited = 0; w_warm = 0; wcerts = [];
-      w_cell = cell; w_dl = Resilience.Deadline.with_cancel dl cell;
-      w_beat = Atomic.make (Obs.Clock.wall ());
-      w_nudge = Atomic.make false; w_deaths = 0;
       w_cnode = Obs.Counter.get ("milp.nodes.d" ^ string_of_int wid) }
   in
   (* The coordinator context is created up front (not at root-processing
-     time) because the supervision layer — watchdog, checkpointer, crash
-     recovery — observes it for the whole solve. On resume its arrays
-     start at the checkpoint's post-fixing root box, which is the box
-     every serialized chain's [prev] values are relative to. *)
+     time) because the checkpointer observes it for the whole solve. On
+     resume its arrays start at the checkpoint's post-fixing root box,
+     which is the box every serialized chain's [prev] values are
+     relative to. *)
   let w0 =
     match resume with
     | Some ck ->
@@ -637,14 +603,15 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let root_box_ub =
     ref (match resume with Some ck -> Array.copy ck.Checkpoint.root_ub | None -> [||])
   in
-  (* ---------------- supervision state -------------------------------- *)
+  (* ---------------- pool state -------------------------------------- *)
   (* [pool_m] guards the shared deque [q]/[qlen], every private stack in
      [wlocal], and the lease table [wlease]. A lease is the subtree a
      worker currently holds in its hands: set when a node is taken,
      cleared in the same critical section that retires or republishes it,
      so at every instant each open node is in exactly one of
      {q, some wlocal, some lease} — the invariant that makes snapshots
-     complete and crash recovery lossless. *)
+     complete: a checkpoint written from one worker's completion section
+     still records the nodes other domains are processing. *)
   let pool_m = Mutex.create () in
   let pool_cv = Condition.create () in
   let q = ref [] in
@@ -653,9 +620,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let wlocal = Array.init domains (fun _ -> ref []) in
   let wlease : node option array = Array.make domains None in
   let all_wctxs = Atomic.make [| w0 |] in
-  let n_recoveries = ref 0 in (* guarded by pool_m *)
   let n_checkpoints = ref 0 in (* guarded by pool_m *)
-  let n_stalls = Atomic.make 0 in
   let last_ck = ref (Obs.Clock.wall ()) in
   let next_ck_nodes =
     ref
@@ -709,7 +674,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     { nid = o.Checkpoint.o_nid; parent_nid = o.Checkpoint.o_parent;
       bounds = chain; bound = o.Checkpoint.o_bound;
       bvar = o.Checkpoint.o_bvar; bfrac = o.Checkpoint.o_bfrac;
-      dir_up = o.Checkpoint.o_dir_up; cancels = 0 }
+      dir_up = o.Checkpoint.o_dir_up }
   in
   (* Every open node, wherever it currently lives. Under [pool_m]. *)
   let frontier_locked () =
@@ -852,68 +817,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
                 ]
         end
   in
-  let note_recovery (w : wctx) e =
-    Log.warn (fun f ->
-        f "worker %d died (%s); recovered (death %d/%d)" w.wid
-          (Printexc.to_string e) w.w_deaths max_worker_deaths);
-    if Obs.Log.enabled () then
-      Obs.Log.event ~level:Obs.Log.Warn "milp.recovery"
-        [
-          ("worker", Obs.Json.Int w.wid);
-          ("error", Obs.Json.String (Printexc.to_string e));
-          ("death", Obs.Json.Int w.w_deaths);
-        ];
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~cat:"milp" ~tid:(w.wid + 1) "milp.recovery"
-        ~args:
-          [
-            ("worker", Obs.Json.Int w.wid);
-            ("error", Obs.Json.String (Printexc.to_string e));
-            ("death", Obs.Json.Int w.w_deaths);
-          ]
-  in
-  (* Supervised worker death. Returns whether the slot recovered: the
-     leased node and the worker's whole private stack go back to the
-     shared deque (no subtree is lost), the solver state and pseudocost
-     table reset, and the worker keeps taking work. Resource exhaustion
-     and slots past their death budget are systemic — not recovered. *)
-  let recover (w : wctx) e =
-    match e with
-    | Out_of_memory | Stack_overflow -> false
-    | _ when w.w_deaths >= max_worker_deaths -> false
-    | _ ->
-        w.w_deaths <- w.w_deaths + 1;
-        w.wstate <- None;
-        w.wpc <- pc_create raw.n;
-        Resilience.Deadline.clear_cell w.w_cell;
-        Atomic.set w.w_nudge false;
-        Mutex.lock pool_m;
-        (match wlease.(w.wid) with
-        | Some n ->
-            q := !q @ [ n ];
-            incr qlen;
-            wlease.(w.wid) <- None
-        | None -> ());
-        let mine = !(wlocal.(w.wid)) in
-        if mine <> [] then begin
-          wlocal.(w.wid) := [];
-          q := !q @ mine;
-          qlen := !qlen + List.length mine
-        end;
-        incr n_recoveries;
-        Condition.broadcast pool_cv;
-        Mutex.unlock pool_m;
-        note_recovery w e;
-        true
-  in
   let solve_node (w : wctx) (node : node) =
-    (* Consume a watchdog nudge (escalation rung 1): drop the warm
-       tableau so this LP refactorizes from scratch — the cheap fix for
-       a numerically wedged basis. *)
-    if Atomic.get w.w_nudge then begin
-      Atomic.set w.w_nudge false;
-      w.wstate <- None
-    end;
     goto ~lb:w.wlb ~ub:w.wub ~from_:w.wcur node.bounds;
     w.wcur <- node.bounds;
     match w.wstate with
@@ -922,14 +826,14 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
            workers that start after the root cut rounds (and resumed
            solves) inherit every applied cut. *)
         let r, st =
-          Simplex.solve_state ~max_iters:max_lp_iters ~deadline:w.w_dl
+          Simplex.solve_state ~max_iters:max_lp_iters ~deadline:dl
             ~lb:w.wlb ~ub:w.wub !raw_solve
         in
         w.wstate <- Some st;
         r
     | Some st ->
         let r =
-          Simplex.resolve ~max_iters:max_lp_iters ~deadline:w.w_dl ~lb:w.wlb
+          Simplex.resolve ~max_iters:max_lp_iters ~deadline:dl ~lb:w.wlb
             ~ub:w.wub st
         in
         if Simplex.last_resolve_warm st then w.w_warm <- w.w_warm + 1;
@@ -973,17 +877,13 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
      completion critical section, so snapshots never see a half-recorded
      node).
 
-     Fault sites: [milp.worker_kill] kills the worker at entry, before
-     the node is counted — the supervisor replays its lease.
-     [milp.stall] wedges the worker here with no progress, which is what
-     the watchdog's escalation ladder must unstick. *)
+     Fault site: [milp.raise] raises [Failure] at entry, before the node
+     is counted — in whichever domain took the node, so [milp.raise@N]
+     exercises the pool's exception path ([supervised]). *)
   let process (w : wctx) (node : node) :
       outcome * Cert.node option =
-    if Resilience.Fault.fires "milp.worker_kill" then raise Worker_killed;
-    if Resilience.Fault.fires "milp.stall" then
-      while not (Resilience.Deadline.expired w.w_dl) do
-        Domain.cpu_relax ()
-      done;
+    if Resilience.Fault.fires "milp.raise" then
+      failwith "injected fault: milp.raise";
     let node_id = 1 + Atomic.fetch_and_add nodes 1 in
     (* Counted live (not bulk at solve exit) so the resource probe sees
        node and pivot throughput mid-solve; the per-worker counter
@@ -1038,13 +938,10 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
              (or numerically hopeless); stop exploring. *)
           Stop_unbounded
       | Simplex.Time_limit ->
-          (* The worker deadline ran out mid-pivot. A watchdog cancel
-             means only this worker was unwedged — the node is requeued
-             and the solve goes on; genuine time expiry stops the solve
-             like the between-node budget check. Either way the node is
-             still open, so it gets no certificate entry. *)
-          if Resilience.Deadline.cancelled w.w_dl then Cancelled
-          else Stop_budget
+          (* The deadline ran out mid-pivot: stop the solve like the
+             between-node budget check. The node is still open, so it
+             gets no certificate entry. *)
+          Stop_budget
       | Simplex.Iteration_limit ->
           (* Pruning an unsolved subproblem is unsound for optimality
              claims, so count it: any such node demotes Optimal to
@@ -1093,14 +990,14 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
                     Tighten { j; side = Ub; v = fl; prev = w.wub.(j);
                               depth = depth + 1; parent = node.bounds };
                   bound = r.Simplex.objective; bvar = j;
-                  bfrac = v -. fl; dir_up = false; cancels = 0 }
+                  bfrac = v -. fl; dir_up = false }
               and up =
                 { nid = alloc_nid (); parent_nid = node.nid;
                   bounds =
                     Tighten { j; side = Lb; v = fl +. 1.0; prev = w.wlb.(j);
                               depth = depth + 1; parent = node.bounds };
                   bound = r.Simplex.objective; bvar = j;
-                  bfrac = v -. fl; dir_up = true; cancels = 0 }
+                  bfrac = v -. fl; dir_up = true }
               in
               fathom :=
                 Cert.F_branched
@@ -1114,10 +1011,10 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     in
     let cert =
       match outcome with
-      (* A cancelled or budget-cut node stays open (requeued / left in
-         the frontier), so it must not appear closed in the node log —
-         a resumed solve will process it for real. *)
-      | Cancelled | Stop_budget -> None
+      (* A budget-cut node stays open (left in the frontier), so it must
+         not appear closed in the node log — a resumed solve will
+         process it for real. *)
+      | Stop_budget -> None
       | _ when not certs_on -> None
       | _ ->
           Some
@@ -1164,69 +1061,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   (* Minimum dual bound over nodes left open when exploration stops
      early; infinity after an exhaustive run. *)
   let open_bound_end = ref infinity in
-  (* ---------------------- stall watchdog ----------------------------- *)
-  (* A dedicated domain that checks each worker's heartbeat against the
-     stall window. Escalation ladder (DESIGN.md §3i): a worker whose
-     lease has made no progress for a full window first gets a nudge
-     (cold refactorization on its next LP); if the same wedged lease is
-     still there on a later tick, its node is cancelled through the
-     worker's deadline cell and requeued. Each node is cancelled at most
-     once, so a merely-slow LP replays to completion. *)
-  let wd_stop = Atomic.make false in
-  let stall_note (w : wctx) level =
-    ignore (Atomic.fetch_and_add n_stalls 1);
-    Log.warn (fun f -> f "worker %d stalled; escalation: %s" w.wid level);
-    if Obs.Log.enabled () then
-      Obs.Log.event ~level:Obs.Log.Warn "milp.stall"
-        [
-          ("worker", Obs.Json.Int w.wid);
-          ("level", Obs.Json.String level);
-        ];
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~cat:"milp" ~tid:(w.wid + 1) "milp.stall"
-        ~args:
-          [ ("worker", Obs.Json.Int w.wid); ("level", Obs.Json.String level) ]
-  in
-  let watchdog win =
-    (* Per-slot beat value at the last nudge: a second trip over the same
-       beat means the nudge did not help — escalate to cancel. *)
-    let nudged : (int, float) Hashtbl.t = Hashtbl.create 8 in
-    let tick = Float.max 0.005 (win /. 4.0) in
-    while not (Atomic.get wd_stop) do
-      Unix.sleepf tick;
-      if not (Atomic.get wd_stop) then begin
-        let now_ = Obs.Clock.wall () in
-        Array.iter
-          (fun (w : wctx) ->
-            Mutex.lock pool_m;
-            let lease = wlease.(w.wid) in
-            Mutex.unlock pool_m;
-            match lease with
-            | None -> Hashtbl.remove nudged w.wid
-            | Some node ->
-                let beat = Atomic.get w.w_beat in
-                if now_ -. beat > win then begin
-                  if Hashtbl.find_opt nudged w.wid <> Some beat then begin
-                    Hashtbl.replace nudged w.wid beat;
-                    Atomic.set w.w_nudge true;
-                    stall_note w "nudge"
-                  end
-                  else if node.cancels = 0 then begin
-                    node.cancels <- 1;
-                    Resilience.Deadline.cancel w.w_cell;
-                    stall_note w "cancel"
-                  end
-                end)
-          (Atomic.get all_wctxs)
-      end
-    done
-  in
-  let wd_dom =
-    match stall_window with
-    | Some win when win > 0.0 && not injected_timeout ->
-        Some (Domain.spawn (fun () -> watchdog win))
-    | _ -> None
-  in
   (* -------------------- the work-stealing pool ----------------------- *)
   (* The one engine, at every domain count. Each domain dives
      depth-first on a private stack; after every branch it keeps the
@@ -1234,12 +1068,10 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
      far child to a bounded shared deque (oldest entries are the
      shallowest, i.e. largest, subtrees). Idle domains steal from the old
      end of the deque; when the deque overflows its bound, siblings stay
-     private. A lone worker publishes nothing, so its deque only ever
-     holds requeued nodes. Termination: [pending] counts
-     pushed-but-unfinished nodes; the decrement that reaches zero wakes
-     every sleeper. Every taken node is leased until its completion
-     section runs, so worker deaths replay exactly the in-flight subtrees
-     and snapshots are complete. *)
+     private. A lone worker publishes nothing. Termination: [pending]
+     counts pushed-but-unfinished nodes; the decrement that reaches zero
+     wakes every sleeper. Every taken node is leased until its
+     completion section runs, so snapshots are complete. *)
   let pending = Atomic.make 0 in
   let stop : [ `Budget | `Unbounded | `Exn of exn ] option Atomic.t =
     Atomic.make None
@@ -1249,18 +1081,12 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     if Atomic.compare_and_set stop None (Some r) then
       Condition.broadcast pool_cv
   in
-  (* Take from the deque, under [pool_m]; returns [(node, stolen)]. A
-     thief steals the oldest (shallowest) published node from the far
-     end — O(qcap) worst case, and qcap is small. A lone worker drains
-     its requeued nodes oldest first, as a plain depth-first search
-     would; that is not a steal. *)
+  (* Steal from the deque, under [pool_m]: a thief takes the oldest
+     (shallowest) published node from the far end — O(qcap) worst case,
+     and qcap is small. *)
   let dequeue () =
     match !q with
     | [] -> None
-    | n :: rest when domains = 1 ->
-        q := rest;
-        decr qlen;
-        Some (n, false)
     | l ->
         let rec split_last acc = function
           | [ x ] -> (acc, x)
@@ -1270,7 +1096,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         let rev_rest, last = split_last [] l in
         q := List.rev rev_rest;
         decr qlen;
-        Some (last, true)
+        Some last
   in
   let finish_pending () =
     if Atomic.fetch_and_add pending (-1) = 1 then Condition.broadcast pool_cv
@@ -1285,7 +1111,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         match !(wlocal.(w.wid)) with
         | n :: rest ->
             wlocal.(w.wid) := rest;
-            Some (n, false)
+            Some n
         | [] -> (
             match dequeue () with
             | Some _ as r -> r
@@ -1297,11 +1123,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
                 end)
     in
     let r = wait_loop () in
-    (match r with Some (n, _) -> wlease.(w.wid) <- Some n | None -> ());
+    wlease.(w.wid) <- r;
     Mutex.unlock pool_m;
-    (match r with
-    | Some _ -> Atomic.set w.w_beat (Obs.Clock.wall ())
-    | None -> ());
     r
   in
   (* One critical section retires (or republishes) the node, appends
@@ -1326,15 +1149,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         wlocal.(w.wid) :=
           (if published then [ near ] else [ near; far ]) @ !(wlocal.(w.wid));
         finish_pending ()
-    | Cancelled ->
-        (* watchdog unwedge: the node is still open — requeue it at the
-           steal end for any worker to replay, and re-arm this worker's
-           cell *)
-        q := !q @ [ node ];
-        incr qlen;
-        Resilience.Deadline.clear_cell w.w_cell;
-        incr n_recoveries;
-        Condition.signal pool_cv
     | Stop_budget ->
         (* the node stays open for the exit gap and the final
            checkpoint *)
@@ -1344,49 +1158,31 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         request_stop_locked `Unbounded;
         finish_pending ());
     write_checkpoint_locked ~force:false ();
-    Mutex.unlock pool_m;
-    Atomic.set w.w_beat (Obs.Clock.wall ())
+    Mutex.unlock pool_m
   in
-  (* One supervised node step on [w]: take and lease a node, process
-     it, complete it. [`Idle]: nothing left to take; [`Closed]: the node
-     was retired; [`Open]: it went back to the frontier (recovered,
-     cancelled, or stopped by the budget). The root ([~root:true]) skips
-     the between-node budget check: the budget was checked just before
-     the cut loop, which leaves the root LP solved in the warm state, so
-     processing the root is nearly free and gives a budget-truncated
-     solve its root bound. A budget that expires mid-LP still stops it. *)
+  (* One node step on [w]: take and lease a node, process it, complete
+     it; [false] when nothing is left to take. The root ([~root:true])
+     skips the between-node budget check: the budget was checked just
+     before the cut loop, which leaves the root LP solved in the warm
+     state, so processing the root is nearly free and gives a
+     budget-truncated solve its root bound. A budget that expires mid-LP
+     still stops it. *)
   let step ?(root = false) (w : wctx) =
     match take w with
-    | None -> `Idle
-    | Some (node, stolen) -> (
-        if (not root) && budget () then begin
-          complete w node Stop_budget None;
-          `Open
-        end
-        else if stolen && Resilience.Fault.fires "milp.steal_drop" then begin
-          (* the thief dies at the steal handoff, taking the entry with
-             it: recover as a worker death so the leased node replays
-             instead of vanishing *)
-          if not (recover w Worker_killed) then raise Worker_killed;
-          `Open
-        end
-        else if dominated node then begin
-          complete w node Leaf (dominated_cert w node);
-          `Closed
-        end
-        else
-          match process w node with
-          | exception e when recover w e -> `Open
-          | ((Cancelled | Stop_budget) as outcome), cert ->
-              complete w node outcome cert;
-              `Open
-          | outcome, cert ->
-              complete w node outcome cert;
-              `Closed)
+    | None -> false
+    | Some node ->
+        if (not root) && budget () then complete w node Stop_budget None
+        else if dominated node then
+          complete w node Leaf (dominated_cert w node)
+        else begin
+          let outcome, cert = process w node in
+          complete w node outcome cert
+        end;
+        true
   in
-  (* Unrecoverable failures (death budget spent, resource exhaustion)
-     requeue the lease so no subtree is silently lost, then stop the
-     pool; the coordinator re-raises after the join. *)
+  (* A worker exception requeues the lease so no subtree is silently
+     lost (the frontier stays complete), then stops the pool; the
+     coordinator re-raises after the join. *)
   let supervised (w : wctx) f =
     try f ()
     with e ->
@@ -1401,7 +1197,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       Mutex.unlock pool_m
   in
   let worker (w : wctx) =
-    supervised w (fun () -> while step w <> `Idle do () done)
+    supervised w (fun () -> while step w do () done)
   in
   (* -------------------- root cutting planes -------------------------- *)
   (* Coordinator-only, before the root node is processed: solve the root
@@ -1418,7 +1214,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let root_cut_prep () =
     if cuts_on && not (budget ()) then begin
       let r0, st =
-        Simplex.solve_state ~max_iters:max_lp_iters ~deadline:w0.w_dl
+        Simplex.solve_state ~max_iters:max_lp_iters ~deadline:dl
           ~lb:w0.wlb ~ub:w0.wub !raw_solve
       in
       w0.w_iters <- w0.w_iters + r0.Simplex.iterations;
@@ -1453,7 +1249,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
               cuts_log := !cuts_log @ chosen;
               incr cut_rounds;
               let r =
-                Simplex.resolve ~max_iters:max_lp_iters ~deadline:w0.w_dl
+                Simplex.resolve ~max_iters:max_lp_iters ~deadline:dl
                   ~lb:w0.wlb ~ub:w0.wub st
               in
               w0.w_iters <- w0.w_iters + r.Simplex.iterations;
@@ -1549,15 +1345,14 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         root_cut_prep ();
         seed
           [ { nid = alloc_nid (); parent_nid = -1; bounds = Root;
-              bound = neg_infinity; bvar = -1; bfrac = 0.0; dir_up = false;
-              cancels = 0 } ];
-        (* The coordinator steps the root alone until it closes, so
-           reduced-cost fixing mutates the root arrays before any worker
-           copies them. A budget stop mid-LP leaves the root in the
-           frontier: a checkpoint of this state resumes into the root,
-           not into an empty (= already proved) tree. *)
-        supervised w0 (fun () ->
-            while step ~root:true w0 = `Open do () done);
+              bound = neg_infinity; bvar = -1; bfrac = 0.0; dir_up = false }
+          ];
+        (* The coordinator steps the root alone, so reduced-cost fixing
+           mutates the root arrays before any worker copies them. A
+           budget stop mid-LP leaves the root in the frontier: a
+           checkpoint of this state resumes into the root, not into an
+           empty (= already proved) tree. *)
+        supervised w0 (fun () -> ignore (step ~root:true w0));
         (* w0 still sits at the root chain here, so its arrays hold the
            post-fixing root box every subtree inherits. *)
         root_box_lb := Array.copy w0.wlb;
@@ -1597,7 +1392,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     (* Exit bound over everything still open, wherever it lives. *)
     Mutex.lock pool_m;
     open_bound_end := open_bound_locked ();
-    (* Final flush: a budget-stopped supervised solve always leaves a
+    (* Final flush: a budget-stopped checkpointed solve always leaves a
        fresh, resumable snapshot behind. *)
     write_checkpoint_locked ~force:true ();
     Mutex.unlock pool_m;
@@ -1606,11 +1401,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     if !stopped_unbounded && !open_bound_end = infinity then
       open_bound_end := !root_bound
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set wd_stop true;
-      Option.iter Domain.join wd_dom)
-    explore;
+  explore ();
   let open_bound = !open_bound_end in
   (* A node LP that hit its iteration cap was pruned unsolved, so neither
      "all nodes closed" nor a closed gap proves optimality. *)
@@ -1641,8 +1432,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       first_incumbent_s = !first_inc;
       domains;
       checkpoints = !n_checkpoints;
-      recoveries = !n_recoveries;
-      stalls = Atomic.get n_stalls;
       cpu_s = Obs.Clock.cpu () -. cpu0;
       cuts_applied = List.length !cuts_log;
       cut_rounds = !cut_rounds;
@@ -1674,8 +1463,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   Obs.Counter.incr ~by:stats.warm_hits c_warm_hits;
   Obs.Counter.incr ~by:stats.fixed_vars c_fixed_vars;
   Obs.Counter.incr ~by:stats.checkpoints c_checkpoints;
-  Obs.Counter.incr ~by:stats.recoveries c_recoveries;
-  Obs.Counter.incr ~by:stats.stalls c_stalls;
   Obs.Counter.incr ~by:stats.cuts_applied c_cuts_applied;
   Obs.Counter.incr ~by:stats.cut_rounds c_cut_rounds;
   if not (Float.is_nan stats.gap_closed_root) then
@@ -1771,9 +1558,6 @@ let pp_stats ppf s =
   if s.checkpoints > 0 then
     Fmt.pf ppf ", %d checkpoint%s" s.checkpoints
       (if s.checkpoints = 1 then "" else "s");
-  if s.recoveries > 0 then Fmt.pf ppf ", %d recovered" s.recoveries;
-  if s.stalls > 0 then Fmt.pf ppf ", %d stall%s" s.stalls
-      (if s.stalls = 1 then "" else "s");
   if s.lp_limited > 0 then
     Fmt.pf ppf ", %d LP limit hit%s" s.lp_limited
       (if s.lp_limited = 1 then "" else "s")

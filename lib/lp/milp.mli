@@ -16,15 +16,13 @@
     are independent of the domain count and of scheduling (see DESIGN.md
     §3g for the argument and for the budget-truncated caveat).
 
-    Solves are {e supervised} (DESIGN.md §3i): every taken node is
-    leased until it is retired, so a worker death replays exactly its
-    in-flight subtree, a stall watchdog unwedges workers stuck inside a
-    single pathological LP, and the live frontier can be snapshotted to
-    disk ({!Checkpoint}) and resumed later. Because recovery and resume
-    only permute exploration order, the determinism guarantee above
-    extends to interrupted solves: a kill-and-recover or
-    checkpoint-and-resume run of an exhaustively solved model returns
-    the identical status, objective and incumbent. *)
+    Every taken node is leased until it is retired, so the live
+    frontier can be snapshotted to disk ({!Checkpoint}) at any node
+    completion and resumed later (DESIGN.md §3i). Because resume only
+    permutes exploration order, the determinism guarantee above extends
+    to interrupted solves: a checkpoint-and-resume run of an
+    exhaustively solved model returns the identical status, objective
+    and incumbent. *)
 
 type status =
   | Optimal  (** proved optimal within tolerances *)
@@ -59,10 +57,6 @@ type stats = {
       (** domain count the tree was explored with (1 = a lone
           depth-first worker) *)
   checkpoints : int;  (** snapshots written to the [checkpoint] sink *)
-  recoveries : int;
-      (** supervised recoveries: worker deaths replayed plus watchdog
-          cancel-and-requeues *)
-  stalls : int;  (** watchdog escalations (nudges + cancels) *)
   cpu_s : float;
       (** process CPU seconds consumed by this solve ({!Obs.Clock.cpu});
           under [domains] > 1 this exceeds [elapsed] — the budget runs
@@ -102,12 +96,6 @@ type checkpoint_sink = {
           ([pipesyn resume] rebuilds its setup from it) *)
 }
 
-exception Worker_killed
-(** Raised at node-processing entry by the [milp.worker_kill] and
-    [milp.steal_drop] fault points — the stand-in for a worker domain
-    dying mid-subtree. Supervised recovery absorbs it up to a per-slot
-    death budget; past that it propagates like any worker exception. *)
-
 val solve :
   ?time_limit:float ->
   ?node_limit:int ->
@@ -121,7 +109,6 @@ val solve :
   ?certificates:bool ->
   ?checkpoint:checkpoint_sink ->
   ?resume:Checkpoint.t ->
-  ?stall_window:float ->
   ?cuts:bool ->
   ?presolve:bool ->
   Model.t ->
@@ -168,7 +155,7 @@ val solve :
     is ["0"]/["off"]/["false"]/["no"]) disables the rounds when
     [false]. Each round emits a
     ["milp.cut_round"] trace instant (round, cuts added, pool size,
-    post-round bound). A resumed solve re-installs the checkpoint's cut
+    post-round bound). A resumed solve re-applies the checkpoint's cut
     rows verbatim and never re-separates, so node duals keep matching
     the extended row system.
 
@@ -180,8 +167,8 @@ val solve :
     dives depth-first on a private stack, publishing the sibling of
     every branch to a bounded shared deque that idle domains steal the
     shallowest entries from. A lone worker ([domains = 1]) publishes
-    nothing: it explores in plain depth-first order, replays requeued
-    nodes oldest first, and its node and pivot counts are deterministic.
+    nothing: it explores in plain depth-first order, and its node and
+    pivot counts are deterministic.
     Statuses and objectives of runs that
     terminate by exhausting the tree are independent of [domains];
     budget-truncated runs keep deterministic statuses but may return a
@@ -201,34 +188,17 @@ val solve :
     a [--domains 4] budget roughly 4× early). Process CPU time is still
     reported, separately, as [stats.cpu_s].
 
-    {2 Supervision}
+    {2 Worker exceptions and checkpoint/resume}
 
     Every node a worker takes is {e leased} to it until the completion
     critical section retires or republishes the node, so at any instant
     each open node lives in exactly one of the shared deque, a private
-    stack, or a lease. On top of that invariant (DESIGN.md §3i):
+    stack, or a lease (DESIGN.md §3i).
 
-    {b Crash recovery.} A worker whose node processing raises (fault
-    injection, numeric blowup — anything except [Out_of_memory] /
-    [Stack_overflow]) is recovered in place: its leased node and entire
-    private stack are requeued for any worker to replay, its solver
-    state and pseudocost table reset, and it keeps taking work. Each
-    slot survives at most 3 deaths; past that — or for resource
-    exhaustion — the failure propagates. Recoveries are counted in
-    [stats.recoveries] and traced as ["milp.recovery"] instants.
-
-    {b Stall watchdog.} [stall_window] (seconds; default off) spawns a
-    watchdog domain that compares each worker's last-progress heartbeat
-    against the window. A worker wedged inside one LP for a full window
-    is escalated in two rungs: first a {e nudge} (its next LP
-    refactorizes cold — the cheap fix for a wedged basis), then, if the
-    same lease is still stuck a tick later, a {e cancel} through the
-    worker's deadline cell ({!Resilience.Deadline.with_cancel}) — the
-    simplex notices within one 64-pivot poll, the node is requeued, and
-    the worker re-arms. A node is never cancelled twice, so a
-    legitimately slow LP replays to completion; pick a window larger
-    than any honest node LP. Escalations land in [stats.stalls] and as
-    ["milp.stall"] trace instants (["level"] = ["nudge"]/["cancel"]).
+    {b Worker exceptions.} An exception raised while a worker processes
+    a node is a bug, not a transient: the worker's lease is requeued (so
+    the frontier stays complete), the pool stops, every domain is
+    joined, and [solve] re-raises the exception to its caller.
 
     {b Checkpoint/resume.} [checkpoint] snapshots the live solve into
     {!checkpoint_sink}[.ck_path] on a wall-clock cadence (checked at
@@ -243,19 +213,16 @@ val solve :
     work. Resumed solves may use a different [domains] count than the
     original run.
 
-    Recovery, watchdog requeues and resume are invisible to results on
-    exhaustively solved models (same status/objective/incumbent, by the
-    determinism argument above); node counts, traces and statistics are
-    not replayed and will differ.
+    Resume is invisible to results on exhaustively solved models (same
+    status/objective/incumbent, by the determinism argument above); node
+    counts, traces and statistics are not replayed and will differ.
 
     Fault points ({!Resilience.Fault}): [milp.raise] raises [Failure] at
-    entry; [milp.timeout] returns {!Unknown} immediately, modelling a
-    budget that expired before any incumbent existed; [milp.worker_kill]
-    and [milp.steal_drop] raise {!Worker_killed} at node-processing
-    entry / at the steal handoff (exercising crash recovery);
-    [milp.stall] wedges a worker inside a node until the watchdog or the
-    global budget unwedges it; [milp.checkpoint_torn] (in
-    {!Checkpoint.write}) tears a snapshot file mid-write.
+    node-processing entry, in whichever domain took the node (exercising
+    the worker-exception path above); [milp.timeout] returns {!Unknown}
+    immediately, modelling a budget that expired before any incumbent
+    existed; [milp.checkpoint_torn] (in {!Checkpoint.write}) tears a
+    snapshot file mid-write.
 
     [certificates] (default [false]) makes the solve proof-carrying: the
     result's [cert] field collects, from every worker domain, each node's
@@ -266,7 +233,7 @@ val solve :
     re-verify the run in exact rational arithmetic (DESIGN.md §3h).
     Collection is observational: it never changes exploration. A
     resumed solve extends the
-    checkpoint's node log — cancelled or budget-cut nodes are left open
+    checkpoint's node log — budget-cut nodes are left open
     (no log entry) rather than closed with an unsound fathom, which is
     what keeps resumed certificates audit-clean. A ["milp.cert"] trace
     instant carries the certificate summary when tracing is on.
@@ -279,8 +246,8 @@ val solve :
     engages, a ["milp.incumbent"] instant per incumbent (objective +
     gap against the least dual bound among the other open nodes, at
     every domain count — the convergence timeline, also recorded in the
-    ["milp.convergence"] series), and the supervision instants
-    ["milp.recovery"], ["milp.stall"] and ["milp.checkpoint"]. Tracing
+    ["milp.convergence"] series), and a ["milp.checkpoint"] instant per
+    snapshot. Tracing
     is purely observational: it never changes branching, bounds or
     results. *)
 

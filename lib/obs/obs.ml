@@ -1020,9 +1020,9 @@ end
    Trace answers "where did the time go" with nested spans; Log answers
    "what happened" with a flat ordered stream of typed events — flow
    phase transitions, cascade retries/degradations, incumbents, cut
-   rounds, checkpoints, recoveries, stalls, probe samples — serialized
-   as NDJSON (one JSON object per line, greppable and tail-able, framed
-   by a header and a footer line). Same discipline as Trace:
+   rounds, checkpoints, probe samples — serialized as NDJSON (one JSON
+   object per line, greppable and tail-able, framed by a header and a
+   footer line). Same discipline as Trace:
    process-global, mutex-guarded, bounded with drop-new-at-the-cap plus
    a drop count, off by default, and strictly observational — no solver
    decision may ever read it. *)
@@ -1421,12 +1421,6 @@ module Metrics = struct
     checkpoints : int;
         (** frontier snapshots written during the solve; 0 when
             checkpointing was off *)
-    recoveries : int;
-        (** leased subtrees re-enqueued after a worker death or a
-            watchdog cancel-and-requeue; 0 for undisturbed solves *)
-    stalls : int;
-        (** stall-watchdog escalations (nudges + cancels) recorded
-            during the solve *)
     gc_minor_words : float;
         (** GC minor-heap words allocated across this result's flow run
             (quick_stat delta) *)
@@ -1437,7 +1431,7 @@ module Metrics = struct
     degradation : Json.t list;
   }
 
-  let schema_version = 9
+  let schema_version = 10
 
   let to_json m =
     Json.Obj
@@ -1466,8 +1460,6 @@ module Metrics = struct
         ("milp_cuts", Json.Int m.milp_cuts);
         ("gap_closed_root", Json.Float m.gap_closed_root);
         ("checkpoints", Json.Int m.checkpoints);
-        ("recoveries", Json.Int m.recoveries);
-        ("stalls", Json.Int m.stalls);
         ("gc_minor_words", Json.Float m.gc_minor_words);
         ("gc_major_words", Json.Float m.gc_major_words);
         ("diagnostics", Json.List m.diagnostics);
@@ -1519,8 +1511,6 @@ module Metrics = struct
     let* milp_cuts = int "milp_cuts" in
     let* gap_closed_root = flt "gap_closed_root" in
     let* checkpoints = int "checkpoints" in
-    let* recoveries = int "recoveries" in
-    let* stalls = int "stalls" in
     let* gc_minor_words = flt "gc_minor_words" in
     let* gc_major_words = flt "gc_major_words" in
     let* diagnostics = list "diagnostics" in
@@ -1547,8 +1537,6 @@ module Metrics = struct
         milp_cuts;
         gap_closed_root;
         checkpoints;
-        recoveries;
-        stalls;
         gc_minor_words;
         gc_major_words;
         diagnostics;

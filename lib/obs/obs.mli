@@ -382,8 +382,8 @@ end
     {!Trace}. Where Trace records nested spans for timing analysis, Log
     records a flat ordered stream of typed events (flow phase
     transitions, cascade retries/degradations, MILP incumbents, cut
-    rounds, checkpoints, recoveries, stalls, probe samples) serialized
-    as NDJSON: one JSON object per line, framed by a header line naming
+    rounds, checkpoints, probe samples) serialized as NDJSON: one JSON
+    object per line, framed by a header line naming
     the schema ([pipesyn-log-v1]) and a [log.end] footer carrying the
     event and drop counts. Behind [pipesyn run --log FILE] and the
     [PIPESYN_LOG] environment variable; the [--progress] TTY status
@@ -440,7 +440,7 @@ module Log : sig
       disabled. *)
 
   val set_sink : (event -> unit) option -> unit
-  (** Installs (or removes) a live observer called with each accepted
+  (** Sets (or removes) a live observer called with each accepted
       event, outside the buffer lock — the [--progress] renderer. Sink
       exceptions are swallowed. *)
 
@@ -565,14 +565,6 @@ module Metrics : sig
         (** frontier snapshots written during the solve
             ([Milp.stats.checkpoints]); 0 when checkpointing was off
             (schema v7) *)
-    recoveries : int;
-        (** leased B&B subtrees re-enqueued after a worker death or a
-            watchdog cancel-and-requeue ([Milp.stats.recoveries]); 0 for
-            undisturbed solves (schema v7) *)
-    stalls : int;
-        (** stall-watchdog escalations — refactorization nudges plus
-            cancel-and-requeues ([Milp.stats.stalls]) — during the solve
-            (schema v7) *)
     gc_minor_words : float;
         (** GC minor-heap words allocated across this result's flow run
             ([Gc.quick_stat] delta bracketing the run) (schema v9) *)
@@ -598,16 +590,17 @@ module Metrics : sig
       [objective]/[domains]/[nodes_per_s] for the parallel B&B
       determinism and throughput checks; 6 = adds per-result
       [cert_nodes]/[audit_errors] for the proof-carrying certificate
-      audit; 7 = adds per-result [checkpoints]/[recoveries]/[stalls] for
-      solve supervision, and switches every timestamp from CPU seconds
-      to the monotonic wall clock; 8 = adds per-result
+      audit; 7 = adds per-result [checkpoints] plus two worker-recovery
+      counters for solve supervision, and switches every timestamp from
+      CPU seconds to the monotonic wall clock; 8 = adds per-result
       [milp_cuts]/[gap_closed_root] for the root cutting planes, and
       replaces the [audit_errors] -1 sentinel with JSON [null]; 9 =
       [solve_s]/[bnb_nodes] become nullable (null = never entered the
       MILP, replacing the ambiguous 0.0/0 encoding), adds per-result
       [lp_pivots]/[gc_minor_words]/[gc_major_words] and the file-level
       ["resources"] object (process GC totals, top heap, peak RSS,
-      probe sample count). *)
+      probe sample count); 10 = drops the two worker-recovery counters
+      with the recovery machinery that fed them. *)
 
   val to_json : t -> Json.t
   (** One flat object: [{"name": …, "method": …, "lut": …, "ff": …,

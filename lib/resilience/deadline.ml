@@ -1,59 +1,29 @@
 (* Absolute expiry instants on the monotonized wall clock
-   ([Obs.Clock.wall]) plus an optional external cancellation cell.
-   Everything here must stay allocation-light: [expired] is polled from
-   simplex pivot loops. The record is two words; the common [none] case
-   short-circuits on both fields. *)
+   ([Obs.Clock.wall]); [None] never expires. Everything here must stay
+   allocation-light: [expired] is polled from simplex pivot loops, and
+   the common [none] case short-circuits without reading the clock. *)
 
-type cell = bool Atomic.t
+type t = float option
 
-type t = { expiry : float option; cancel : cell option }
-
-let none = { expiry = None; cancel = None }
+let none = None
 let now () = Obs.Clock.wall ()
-let of_budget b = { expiry = Some (now () +. Float.max 0.0 b); cancel = None }
+let of_budget b = Some (now () +. Float.max 0.0 b)
 
 let clip t ~budget =
   let e = now () +. Float.max 0.0 budget in
-  let expiry =
-    match t.expiry with None -> Some e | Some e' -> Some (Float.min e e')
-  in
-  { t with expiry }
+  match t with None -> Some e | Some e' -> Some (Float.min e e')
 
-let min_ a b =
-  let expiry =
-    match (a.expiry, b.expiry) with
-    | None, x | x, None -> x
-    | Some x, Some y -> Some (Float.min x y)
-  in
-  let cancel =
-    match (a.cancel, b.cancel) with None, c | c, _ -> c
-  in
-  { expiry; cancel }
-
-let new_cell () = Atomic.make false
-let with_cancel t cell = { t with cancel = Some cell }
-let cancel cell = Atomic.set cell true
-let clear_cell cell = Atomic.set cell false
-
-let cancelled t =
-  match t.cancel with None -> false | Some c -> Atomic.get c
-
-let remaining t =
-  match t.expiry with None -> infinity | Some e -> e -. now ()
-
-let expired t =
-  cancelled t
-  || match t.expiry with None -> false | Some e -> e -. now () <= 0.0
-
-let is_none t = t.expiry = None && t.cancel = None
+let remaining t = match t with None -> infinity | Some e -> e -. now ()
+let expired t = match t with None -> false | Some e -> e -. now () <= 0.0
+let is_none t = t = None
 
 exception Expired of string
 
 let check t ~phase = if expired t then raise (Expired phase)
 
 let split t weights =
-  match t.expiry with
-  | None -> List.map (fun (name, _) -> (name, { t with expiry = None })) weights
+  match t with
+  | None -> List.map (fun (name, _) -> (name, None)) weights
   | Some e ->
       let t0 = now () in
       let rem = Float.max 0.0 (e -. t0) in
@@ -65,17 +35,10 @@ let split t weights =
       List.map
         (fun (name, w) ->
           acc := !acc +. Float.max 0.0 w;
-          ( name,
-            { t with
-              expiry = Some (Float.min e (t0 +. (rem *. (!acc /. total))));
-            } ))
+          (name, Some (Float.min e (t0 +. (rem *. (!acc /. total))))))
         weights
 
 let pp ppf t =
-  match t.expiry with
-  | None ->
-      Format.pp_print_string ppf
-        (if cancelled t then "cancelled" else "none")
-  | Some e ->
-      if cancelled t then Format.pp_print_string ppf "cancelled"
-      else Format.fprintf ppf "%.1fs left" (e -. now ())
+  match t with
+  | None -> Format.pp_print_string ppf "none"
+  | Some e -> Format.fprintf ppf "%.1fs left" (e -. now ())

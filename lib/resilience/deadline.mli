@@ -13,69 +13,32 @@
     Deadlines compose downward: {!clip} derives a sub-deadline that a
     phase may not outlive, and {!split} schedules a sequence of phases
     inside one global budget, with unused time rolling over to later
-    phases (cumulative checkpoints).
-
-    A deadline may additionally carry a {b cancellation cell}
-    ({!with_cancel}): an atomic flag another domain can raise to make
-    {!expired} true immediately. The stall watchdog uses this to unwedge
-    a worker stuck inside a single pathological LP — the simplex polls
-    the same deadline it polls for time, so a cancel takes effect within
-    one poll interval (64 pivots). *)
+    phases (cumulative checkpoints). *)
 
 type t
-(** Abstract; immutable (the optional cancel cell it references is the
-    mutable part). The no-deadline value never expires. *)
-
-type cell = bool Atomic.t
-(** External cancellation flag, shared between the canceller (watchdog)
-    and every deadline derived {e from} the cell's owner via
-    {!with_cancel}. *)
+(** Abstract and immutable: an expiry instant, or none. The no-deadline
+    value never expires. *)
 
 val none : t
 (** Never expires; [remaining none = infinity]. *)
 
 val of_budget : float -> t
-(** [of_budget s] expires [max 0. s] seconds from now (no cell). *)
+(** [of_budget s] expires [max 0. s] seconds from now. *)
 
 val clip : t -> budget:float -> t
 (** [clip d ~budget] is the earlier of [d] and [of_budget budget] — the
     standard way to give a phase a local budget that still respects the
-    global deadline. The cell (if any) is inherited from [d]. *)
-
-val min_ : t -> t -> t
-(** Earlier of the two ({!none} is the identity). When both carry a
-    cell, the first argument's cell wins (deadlines combined here come
-    from one owner in practice). *)
-
-val new_cell : unit -> cell
-(** A fresh, un-cancelled cell. *)
-
-val with_cancel : t -> cell -> t
-(** [with_cancel d cell] expires when [d] does {e or} when [cell] has
-    been cancelled, whichever is first. *)
-
-val cancel : cell -> unit
-(** Raise the flag: every deadline carrying [cell] is expired from now
-    on (until {!clear_cell}). Safe from any domain. *)
-
-val clear_cell : cell -> unit
-(** Lower the flag — used when re-arming a worker's cell after its
-    cancelled node has been requeued. *)
-
-val cancelled : t -> bool
-(** Whether [t] carries a cell that has been cancelled. Distinguishes a
-    watchdog cancel from ordinary time expiry: [expired t && not
-    (cancelled t)] is a genuine budget/deadline hit. *)
+    global deadline. *)
 
 val remaining : t -> float
-(** Seconds until time expiry; [infinity] for {!none}, negative once
-    expired. Ignores the cancel cell. *)
+(** Seconds until expiry; [infinity] for {!none}, negative once
+    expired. *)
 
 val expired : t -> bool
-(** [cancelled t || remaining t <= 0.]. *)
+(** [remaining t <= 0.]. *)
 
 val is_none : t -> bool
-(** No expiry instant {e and} no cancel cell. *)
+(** No expiry instant. *)
 
 exception Expired of string
 (** Raised by {!check}; the payload names the phase that ran out. *)
@@ -92,5 +55,4 @@ val split : t -> (string * float) list -> (string * t) list
     gets {!none}. Non-positive weights are treated as [0.]. *)
 
 val pp : Format.formatter -> t -> unit
-(** ["none"], ["cancelled"], or the remaining seconds, e.g.
-    ["3.2s left"]. *)
+(** ["none"] or the remaining seconds, e.g. ["3.2s left"]. *)

@@ -4,7 +4,8 @@ let points =
       "Lp.Milp.solve acts as if its budget expired before any incumbent \
        was found (returns status Unknown)" );
     ( "milp.raise",
-      "Lp.Milp.solve raises Failure at entry (exception-containment path)" );
+      "Lp.Milp.solve raises Failure at node-processing entry, in whichever \
+       B&B worker domain took the node (exception-containment path)" );
     ( "simplex.cycle",
       "Lp.Simplex gives up with Iteration_limit at every optimize call \
        (simulated pivot cycling / numeric trouble)" );
@@ -15,18 +16,9 @@ let points =
     ( "techmap.timeout",
       "Techmap area-flow labelling degrades to trivial cuts as if its \
        deadline expired" );
-    ( "milp.worker_kill",
-      "a B&B worker dies (raises) at node-processing entry, before the \
-       node is counted; the supervisor re-enqueues its leased subtree" );
-    ( "milp.steal_drop",
-      "a stolen queue entry is dropped at the steal handoff (the thief \
-       dies holding the lease); lease replay must recover it" );
     ( "milp.checkpoint_torn",
       "a checkpoint write is torn mid-file (truncated payload); resume \
        must detect and reject it" );
-    ( "milp.stall",
-      "a B&B worker wedges at node-processing entry (busy-waits until \
-       its deadline expires or the watchdog cancels it)" );
   ]
 
 let mem name = List.mem_assoc name points
@@ -37,9 +29,10 @@ let armed_tbl : (string, mode) Hashtbl.t = Hashtbl.create 8
 let hits_tbl : (string, int) Hashtbl.t = Hashtbl.create 8
 let c_fired = Obs.Counter.get "resilience.faults_fired"
 
-(* Fault sites fire from B&B worker domains too (simplex.cycle); the hit
-   counters must not lose updates under concurrency. Arming/clearing
-   stays a driver-side (single-domain) operation. *)
+(* Fault sites fire from B&B worker domains too (simplex.cycle,
+   milp.raise); the hit counters must not lose updates under
+   concurrency. Arming/clearing stays a driver-side (single-domain)
+   operation. *)
 let hits_mutex = Mutex.create ()
 
 let clear () =

@@ -27,9 +27,8 @@ val points : (string * string) list
 (** The registered fault points, [(name, behaviour when fired)]. Stable
     names, dot-separated [subsystem.failure]:
     [milp.timeout], [milp.raise], [simplex.cycle], [cuts.raise],
-    [cuts.timeout], [techmap.timeout], and the solve-supervision kinds
-    [milp.worker_kill], [milp.steal_drop], [milp.checkpoint_torn],
-    [milp.stall] (DESIGN.md §3i). *)
+    [cuts.timeout], [techmap.timeout], and [milp.checkpoint_torn]
+    (DESIGN.md §3i). *)
 
 val mem : string -> bool
 (** Is the name a registered fault point? *)

@@ -28,8 +28,6 @@ let row ?(name = "GFMUL") ?(method_ = "MILP-map") ?(status = "optimal")
     milp_cuts = 7;
     gap_closed_root;
     checkpoints = 0;
-    recoveries = 0;
-    stalls = 0;
     gc_minor_words = 0.0;
     gc_major_words = 0.0;
     diagnostics = [];

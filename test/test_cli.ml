@@ -67,7 +67,7 @@ let test_help_clean () =
   List.iter (fun c -> check_clean [ c; "--help=plain" ]) cmds
 
 (* The registry is lint-clean: `pipesyn lint --all --json` writes a
-   schema-9 report that lists every benchmark with no error-severity
+   schema-10 report that lists every benchmark with no error-severity
    diagnostic. *)
 let test_lint_all_clean () =
   let path = Filename.temp_file "pipesyn_lint" ".json" in
@@ -80,8 +80,8 @@ let test_lint_all_clean () =
     | Ok doc -> doc
     | Error msg -> Alcotest.failf "diagnostics JSON: %s" msg
   in
-  Alcotest.(check bool) "schema_version = 9" true
-    (Obs.Json.member "schema_version" doc = Some (Obs.Json.Int 9));
+  Alcotest.(check bool) "schema_version = 10" true
+    (Obs.Json.member "schema_version" doc = Some (Obs.Json.Int 10));
   let benches =
     match Obs.Json.member "benchmarks" doc with
     | Some (Obs.Json.List l) -> l
@@ -99,7 +99,7 @@ let test_lint_all_clean () =
         (Obs.Json.member "errors" b = Some (Obs.Json.Int 0)))
     benches
 
-(* `pipesyn run -b CLZ -m hls --json` exits 0 and writes a schema-9
+(* `pipesyn run -b CLZ -m hls --json` exits 0 and writes a schema-10
    metrics file whose [obs] section carries the cut enumeration's work
    counter. *)
 let test_run_metrics_json () =
@@ -113,8 +113,8 @@ let test_run_metrics_json () =
     | Ok doc -> doc
     | Error msg -> Alcotest.failf "metrics JSON: %s" msg
   in
-  Alcotest.(check bool) "schema_version = 9" true
-    (Obs.Json.member "schema_version" doc = Some (Obs.Json.Int 9));
+  Alcotest.(check bool) "schema_version = 10" true
+    (Obs.Json.member "schema_version" doc = Some (Obs.Json.Int 10));
   let obs =
     match Obs.Json.member "obs" doc with
     | Some obs -> obs
@@ -138,7 +138,7 @@ let () =
         ] );
       ( "run",
         [
-          Alcotest.test_case "--json writes schema-9 metrics" `Quick
+          Alcotest.test_case "--json writes schema-10 metrics" `Quick
             test_run_metrics_json;
         ] );
     ]

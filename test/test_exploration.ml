@@ -14,34 +14,19 @@ let flow_setup (e : Benchmarks.Registry.entry) =
     domains = Some 1;
   }
 
-let with_fault spec f =
-  Resilience.Fault.clear ();
-  (match Resilience.Fault.arm spec with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "arm %s: %s" spec e);
-  Fun.protect ~finally:Resilience.Fault.clear f
-
 let check_counts name ~nodes ~pivots ~objective (s : Lp.Milp.stats) obj =
   Alcotest.(check int) (name ^ ": nodes") nodes s.Lp.Milp.nodes;
   Alcotest.(check int) (name ^ ": pivots") pivots s.Lp.Milp.lp_iterations;
   Alcotest.(check (float 1e-9)) (name ^ ": objective") objective obj
 
-let check_flow ?fault ?(recoveries = 0) bench method_ ~nodes ~pivots
-    ~objective () =
+let check_flow bench method_ ~nodes ~pivots ~objective () =
   let e = Benchmarks.Registry.find bench in
   let name = bench ^ " " ^ Mams.Flow.method_name method_ in
-  let run () = Mams.Flow.run (flow_setup e) method_ (e.build ()) in
-  let r =
-    match fault with None -> run () | Some spec -> with_fault spec run
-  in
-  match r with
+  match Mams.Flow.run (flow_setup e) method_ (e.build ()) with
   | Error msg -> Alcotest.failf "%s: %s" name msg
   | Ok r -> (
       match (r.solve.milp_stats, r.solve.milp_objective) with
-      | Some s, Some obj ->
-          check_counts name ~nodes ~pivots ~objective s obj;
-          Alcotest.(check int) (name ^ ": recoveries") recoveries
-            s.Lp.Milp.recoveries
+      | Some s, Some obj -> check_counts name ~nodes ~pivots ~objective s obj
       | _ -> Alcotest.failf "%s: no MILP solve" name)
 
 let base = Mams.Flow.Milp_base
@@ -66,7 +51,7 @@ let knapsack () =
   Lp.Model.set_objective m (List.init n (fun i -> (-.v i, xs.(i))));
   m
 
-let check_resume ?fault ~nodes ~pivots ~objective () =
+let check_resume ~nodes ~pivots ~objective () =
   let path = Filename.temp_file "pipesyn_pin" ".json" in
   let sink =
     {
@@ -88,26 +73,21 @@ let check_resume ?fault ~nodes ~pivots ~objective () =
     | Error e -> Alcotest.failf "read checkpoint: %s" e
   in
   Sys.remove path;
-  let resume () =
+  let r =
     Lp.Milp.solve ~time_limit:60.0 ~cuts:false ~domains:1 ~resume:ck
       (knapsack ())
   in
-  let r = match fault with None -> resume () | Some s -> with_fault s resume in
   Alcotest.(check string) "resumed to optimality" "optimal"
     (Fmt.str "%a" Lp.Milp.pp_status r.Lp.Milp.status);
   check_counts "resume" ~nodes ~pivots ~objective r.Lp.Milp.stats
-    r.Lp.Milp.objective;
-  Alcotest.(check int) "resume: recoveries"
-    (if fault = None then 0 else 1)
-    r.Lp.Milp.stats.Lp.Milp.recoveries
+    r.Lp.Milp.objective
 
 let () =
   let pin name f = Alcotest.test_case name `Slow f in
-  let flow ?fault ?recoveries bench m ~nodes ~pivots ~objective =
+  let flow bench m ~nodes ~pivots ~objective =
     pin
-      (String.concat ", "
-         ((bench ^ " " ^ Mams.Flow.method_name m) :: Option.to_list fault))
-      (check_flow ?fault ?recoveries bench m ~nodes ~pivots ~objective)
+      (bench ^ " " ^ Mams.Flow.method_name m)
+      (check_flow bench m ~nodes ~pivots ~objective)
   in
   Alcotest.run "exploration"
     [
@@ -122,16 +102,10 @@ let () =
             ~objective:76.017518248175136;
           flow "DR" base ~nodes:7 ~pivots:271 ~objective:39.02469135802469;
           flow "DR" map ~nodes:69 ~pivots:3032 ~objective:31.;
-          flow ~fault:"milp.worker_kill@2" ~recoveries:1 "GSM" map
-            ~nodes:1135 ~pivots:21779 ~objective:76.017518248175065;
         ] );
       ( "resume@1",
         [
           pin "checkpoint -> resume"
-            (check_resume ?fault:None ~nodes:243 ~pivots:482
-               ~objective:(-243.080554));
-          pin "checkpoint -> resume, worker_kill@3"
-            (check_resume ~fault:"milp.worker_kill@3" ~nodes:243 ~pivots:481
-               ~objective:(-243.080554));
+            (check_resume ~nodes:243 ~pivots:482 ~objective:(-243.080554));
         ] );
     ]

@@ -175,8 +175,6 @@ let sample_metrics =
     milp_cuts = 7;
     gap_closed_root = 0.25;
     checkpoints = 2;
-    recoveries = 1;
-    stalls = 0;
     gc_minor_words = 123456.0;
     gc_major_words = 7890.0;
     diagnostics = [];

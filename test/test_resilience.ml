@@ -137,7 +137,7 @@ let test_fault_points_registered () =
       Alcotest.(check bool) (name ^ " registered") true
         (Resilience.Fault.mem name))
     Resilience.Fault.points;
-  Alcotest.(check int) "ten points" 10 (List.length Resilience.Fault.points)
+  Alcotest.(check int) "seven points" 7 (List.length Resilience.Fault.points)
 
 (* ------------------------------------------------------------------ *)
 (* Cascade                                                             *)
@@ -242,13 +242,12 @@ let test_attempt_json_roundtrip () =
 (* end-to-end fault matrix                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Some supervision points cannot fire in this configuration — steals
-   never happen at 1 domain, no checkpoint sink is configured, and a
-   supervised recovery is by design invisible — so only the faults that
-   are guaranteed to bite may demand a non-empty trail. Every armed run
-   must still come back with an independently verified result. *)
+(* [milp.checkpoint_torn] cannot fire in this configuration — no
+   checkpoint sink is configured — so only the faults that are
+   guaranteed to bite may demand a non-empty trail. Every armed run must
+   still come back with an independently verified result. *)
 let trail_guaranteed = function
-  | "milp.steal_drop" | "milp.checkpoint_torn" | "milp.stall" -> false
+  | "milp.checkpoint_torn" -> false
   | _ -> true
 
 let run_with_fault ~fault (e : Benchmarks.Registry.entry) =

@@ -1,11 +1,10 @@
-(* Solve supervision (DESIGN.md §3i): checkpoint/resume, worker-crash
-   recovery, and the stall watchdog — plus the resilience-v2 satellites
-   (wall-clock budgets at every domain count, bounded cascade retries).
+(* Solve supervision (DESIGN.md §3i): checkpoint/resume and the pool's
+   worker-exception path — plus the resilience-v2 satellites (wall-clock
+   budgets at every domain count, bounded cascade retries).
 
-   The load-bearing property throughout: recovery, watchdog requeues and
-   resume only permute exploration order, so for solves that terminate by
-   exhausting the tree the status, objective and incumbent are identical
-   to an uninterrupted run's. *)
+   The load-bearing property of resume: it only permutes exploration
+   order, so for solves that terminate by exhausting the tree the status,
+   objective and incumbent are identical to an uninterrupted run's. *)
 
 let feq ?(eps = 1e-6) a b = Float.abs (a -. b) <= eps
 let status_str s = Fmt.str "%a" Lp.Milp.pp_status s
@@ -41,7 +40,7 @@ let check_same_result name (base : Lp.Milp.result) (r : Lp.Milp.result) =
 (* The byte-identical-incumbent checks need a UNIQUE optimum: the solver
    fathoms at [bound >= best - 1e-9], so a subtree holding a tied
    alternative optimum can be pruned or explored depending on order, and
-   kills/requeues/resume legitimately permute that order. The 2^i * 1e-6
+   resume legitimately permutes that order. The 2^i * 1e-6
    value perturbation gives every subset a distinct objective (subset
    sums of distinct powers of two are unique), well above the solver's
    1e-9 acceptance tolerance. *)
@@ -128,7 +127,7 @@ let test_cpu_vs_wall_metric () =
 
 (* Root cover cuts close the knapsack at (or one dive past) the root,
    so every test whose premise is a multi-node tree — node-limit
-   interrupts, faults armed at node 2 — pins [~cuts:false]. The tests
+   interrupts, faults armed at node 5 — pins [~cuts:false]. The tests
    exercise supervision mechanics, which are downstream of (and
    orthogonal to) root cut preparation. *)
 
@@ -269,83 +268,26 @@ let test_resume_completed_checkpoint () =
     resumed.Lp.Milp.stats.Lp.Milp.nodes;
   Sys.remove p
 
-(* --- worker-crash recovery -------------------------------------------- *)
+(* --- worker exceptions ------------------------------------------------ *)
 
-(* A worker killed at node N: the supervisor replays its leased subtree;
-   the final result is identical to the fault-free solve at every domain
-   count (byte-identical incumbent, not merely equal objective). *)
-let check_kill_recovery ~fault domains =
-  let clean =
-    Lp.Milp.solve ~time_limit:60.0 ~cuts:false ~domains (knapsack ())
-  in
-  let faulted =
-    with_fault fault (fun () ->
-        Lp.Milp.solve ~time_limit:60.0 ~cuts:false ~domains (knapsack ()))
-  in
-  check_same_result
-    (Printf.sprintf "%s @ %d domains" fault domains)
-    clean faulted
-
-let test_worker_kill_all_domains () =
-  List.iter (fun d -> check_kill_recovery ~fault:"milp.worker_kill@2" d) [ 1; 2; 4 ]
-
-let test_steal_drop_parallel () =
-  List.iter (fun d -> check_kill_recovery ~fault:"milp.steal_drop@1" d) [ 2; 4 ]
-
-let test_recovery_counted () =
-  let r =
-    with_fault "milp.worker_kill@2" (fun () ->
-        Lp.Milp.solve ~time_limit:60.0 ~cuts:false ~domains:2 (knapsack ()))
-  in
-  Alcotest.(check bool) "recovery recorded in stats" true
-    (r.Lp.Milp.stats.Lp.Milp.recoveries >= 1)
-
-let test_death_budget_exhausted () =
-  (* Always-on kills exceed the per-slot death budget (3); the failure
-     must then propagate as an exception rather than loop forever. *)
-  match
-    with_fault "milp.worker_kill" (fun () ->
-        Lp.Milp.solve ~time_limit:60.0 ~cuts:false ~domains:1 (knapsack ()))
-  with
-  | _ -> Alcotest.fail "expected Worker_killed to propagate"
-  | exception Lp.Milp.Worker_killed -> ()
-
-(* --- stall watchdog --------------------------------------------------- *)
-
-let check_stall_recovery domains =
-  let clean =
-    Lp.Milp.solve ~time_limit:60.0 ~cuts:false ~domains (knapsack ())
-  in
-  let r =
-    with_fault "milp.stall@2" (fun () ->
-        Lp.Milp.solve ~time_limit:60.0 ~cuts:false ~domains
-          ~stall_window:0.05 (knapsack ()))
-  in
-  check_same_result
-    (Printf.sprintf "stall recovery @ %d domains" domains)
-    clean r;
-  Alcotest.(check bool) "watchdog escalations recorded" true
-    (r.Lp.Milp.stats.Lp.Milp.stalls >= 1);
-  Alcotest.(check bool) "cancelled node requeued and replayed" true
-    (r.Lp.Milp.stats.Lp.Milp.recoveries >= 1)
-
-let test_stall_watchdog_sequential () = check_stall_recovery 1
-let test_stall_watchdog_parallel () = check_stall_recovery 2
-
-let test_stall_without_watchdog_hits_budget () =
-  (* With the watchdog off, a wedged worker is only unwedged by the
-     global budget — the stop must still be clean and on time. *)
-  let r =
-    with_fault "milp.stall@1" (fun () ->
-        Lp.Milp.solve ~time_limit:0.5 ~cuts:false ~domains:1 (knapsack ()))
-  in
-  (match r.Lp.Milp.status with
-  | Lp.Milp.Feasible | Lp.Milp.Unknown -> ()
-  | s -> Alcotest.failf "expected a budget stop, got %s" (status_str s));
-  let e = r.Lp.Milp.stats.Lp.Milp.elapsed in
-  Alcotest.(check bool)
-    (Printf.sprintf "budget respected while wedged (%.2fs)" e)
-    true (e <= 0.7)
+(* An exception inside a pool worker is a bug, not a transient: the pool
+   stops, every domain is joined, and [solve] re-raises it, at 1, 2 and 4
+   domains. [milp.raise@5] fires at the fifth node's processing entry,
+   which at 2 and 4 domains may be any worker's. *)
+let test_worker_exception_propagates () =
+  List.iter
+    (fun domains ->
+      match
+        with_fault "milp.raise@5" (fun () ->
+            Lp.Milp.solve ~time_limit:60.0 ~cuts:false ~domains (knapsack ()))
+      with
+      | _ ->
+          Alcotest.failf "milp.raise@5 @ %d domains: solve returned" domains
+      | exception Failure msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "raised @ %d domains" domains)
+            "injected fault: milp.raise" msg)
+    [ 1; 2; 4 ]
 
 (* --- cascade bounded retry -------------------------------------------- *)
 
@@ -462,22 +404,10 @@ let () =
           Alcotest.test_case "resume of a finished solve" `Quick
             test_resume_completed_checkpoint;
         ] );
-      ( "crash-recovery",
+      ( "pool",
         [
-          Alcotest.test_case "worker_kill @ 1/2/4 domains" `Slow
-            test_worker_kill_all_domains;
-          Alcotest.test_case "steal_drop @ 2/4 domains" `Slow
-            test_steal_drop_parallel;
-          Alcotest.test_case "recoveries counted" `Quick test_recovery_counted;
-          Alcotest.test_case "death budget bounds replay" `Quick
-            test_death_budget_exhausted;
-        ] );
-      ( "stall-watchdog",
-        [
-          Alcotest.test_case "sequential" `Quick test_stall_watchdog_sequential;
-          Alcotest.test_case "parallel" `Quick test_stall_watchdog_parallel;
-          Alcotest.test_case "budget stop while wedged" `Quick
-            test_stall_without_watchdog_hits_budget;
+          Alcotest.test_case "worker exception propagates" `Quick
+            test_worker_exception_propagates;
         ] );
       ( "cascade-retry",
         [

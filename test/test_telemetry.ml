@@ -190,11 +190,11 @@ let test_probe_samples_and_series () =
 (* neutrality: telemetry must never change flow results                *)
 (* ------------------------------------------------------------------ *)
 
-let flow_setup ?(time_limit = 30.0) ~domains () =
+let flow_setup ~domains () =
   {
     (Mams.Flow.default_setup ~device:Fpga.Device.figure1) with
     delays = Fpga.Delays.make ~logic:2.0 ~arith_base:1.6 ~arith_per_bit:0.2 ();
-    time_limit;
+    time_limit = 30.0;
     domains = Some domains;
   }
 
@@ -239,11 +239,7 @@ let same_objective a b =
 
 let run_neutrality_case ~fault ~domains () =
   let g = Benchmarks.Rs.kernel ~width:2 () in
-  (* A stalled worker busy-waits out its entire solve budget before the
-     flow degrades, so that one case gets a small budget (the outcome —
-     a deterministic heuristic fallback — is budget-independent). *)
-  let time_limit = if fault = Some "milp.stall" then 2.0 else 30.0 in
-  let setup = flow_setup ~time_limit ~domains () in
+  let setup = flow_setup ~domains () in
   let run_once ~telemetry =
     Resilience.Fault.clear ();
     (match fault with
